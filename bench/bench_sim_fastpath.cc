@@ -257,8 +257,8 @@ writeJson(const std::string &path, const std::string &historyPath,
                      static_cast<TraceBailoutReason>(i)),
                  Json::uinteger(tc.bailoutsBy[i]));
     tcj.set("bailout", bail);
-    // Predicated-tier split (schema v6): the share of the aggregate
-    // above that ran through guarded/multi-control-op replay traces.
+    // Predicated-trace split (schema v6): the share of the aggregate
+    // above from traces with a guarded backedge or side exits.
     Json pr = Json::object();
     pr.set("builds", Json::uinteger(tc.predReplay.builds));
     pr.set("replays", Json::uinteger(tc.predReplay.replays));
@@ -267,8 +267,6 @@ writeJson(const std::string &path, const std::string &historyPath,
     pr.set("side_exits", Json::uinteger(tc.predReplay.sideExits));
     pr.set("backedge_fallthroughs",
            Json::uinteger(tc.predReplay.backedgeFallthroughs));
-    pr.set("mid_engagements",
-           Json::uinteger(tc.predReplay.midEngagements));
     tcj.set("pred_replay", pr);
     // Per-workload replay coverage (all levels/modes/sizes merged):
     // the drill-down view behind the aggregate above. The whole

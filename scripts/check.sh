@@ -7,10 +7,9 @@
 # (obs-labeled tests + a traced workload through lbp_stats), since the
 # trace ring and JSON parser are exactly the kind of index-arithmetic
 # code sanitizers pay for — plus the engine differential under the
-# LBP_SIM_NO_TRACE_CACHE and LBP_SIM_NO_PRED_REPLAY env overrides, so
-# the predicated replay path, the fast-tier-only cache, and the
-# general decoded path all run sanitized — then a TSan build of the same
-# surface (thread pool + concurrent registry updates, and the
+# LBP_SIM_NO_TRACE_CACHE env override, so the trace replay path and
+# the general decoded path both run sanitized — then a TSan build of
+# the same surface (thread pool + concurrent registry updates, and the
 # self-profiler's signal-handler-vs-marker concurrency through
 # tests/test_obs_prof.cc, which rides the obs label in both sanitizer
 # builds; the live-sampling case is additionally run by name so a
@@ -22,7 +21,8 @@
 # hardware counters. Finishes with the bench
 # regression gate: re-runs the figure benches and diffs their JSON
 # against the checked-in BENCH_*.json baselines — counters exact,
-# timings and the machine block tolerated (lbp_stats diff policy).
+# timings and the machine block tolerated (lbp_stats diff policy) —
+# and the cold end-to-end benchmark's self-test (perfbench/selftest.py).
 #
 # Usage: scripts/check.sh [build-dir]   (default: build-check)
 
@@ -88,13 +88,6 @@ ctest --test-dir "$SAN_BUILD" --output-on-failure -L obs
 LBP_SIM_NO_TRACE_CACHE=1 \
     "$SAN_BUILD"/tests/lbp_sim_tests \
     --gtest_filter='*EngineDifferential*' --gtest_brief=1
-# Same differential with predicated replay disabled by env: Auto
-# resolves to fast-tier-only, sanitizing the strict classifier and
-# the escape hatch itself (the test's force-on leg keeps the
-# predicated replay path covered in the same run).
-LBP_SIM_NO_PRED_REPLAY=1 \
-    "$SAN_BUILD"/tests/lbp_sim_tests \
-    --gtest_filter='*EngineDifferential*' --gtest_brief=1
 # Profiler under ASan, by name: live sampling with concurrent region
 # markers (the SIGPROF handler's single-writer discipline).
 "$SAN_BUILD"/tests/lbp_obs_tests \
@@ -134,16 +127,8 @@ cmake -B "$TSAN_BUILD" -S . \
     -DCMAKE_BUILD_TYPE=Debug \
     -DCMAKE_CXX_FLAGS="-O1 -g -fsanitize=thread"
 cmake --build "$TSAN_BUILD" -j "$(nproc)" \
-    --target lbp_obs_tests lbp_sim_tests lbp_stats
+    --target lbp_obs_tests lbp_stats
 ctest --test-dir "$TSAN_BUILD" --output-on-failure -L obs
-# Engine differential under TSan with predicated replay disabled by
-# env (same leg as the ASan pass): the sim is single-threaded, but
-# the differential drives the decoded engine through the threaded
-# dispatch tables, and the env override must behave identically in
-# every instrumented build.
-LBP_SIM_NO_PRED_REPLAY=1 \
-    "$TSAN_BUILD"/tests/lbp_sim_tests \
-    --gtest_filter='*EngineDifferential*' --gtest_brief=1
 # Profiler under TSan, by name (same cases as the ASan leg).
 "$TSAN_BUILD"/tests/lbp_obs_tests \
     --gtest_filter='ObsProf.ConcurrentThreadsSampleIndependently:ObsProf.SamplesAttributeToInnermostRegion' \
@@ -196,5 +181,10 @@ done
 "$BUILD"/tools/lbp_stats report adpcm_dec --history="$HISTORY" \
     --out="$BUILD"/flight_recorder.html
 test -s "$BUILD"/flight_recorder.html
+
+# Cold end-to-end benchmark self-test: every workload reports every
+# BENCHMARK.json metric, the modelled results match the checked-in
+# sweep record, and an injected checksum error fails its job.
+python3 perfbench/selftest.py
 
 echo "check.sh: all checks passed"

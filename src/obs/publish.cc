@@ -91,8 +91,8 @@ publishTraceCacheStats(Registry &r, const TraceCacheStats &s,
     r.counter(prefix + ".replayedIterations")
         .set(s.replayedIterations);
     r.counter(prefix + ".replayedOps").set(s.replayedOps);
-    // Predicated-tier split (zeros included for a stable key set;
-    // the fast tier's share is the difference against the aggregate).
+    // Predicated-trace split: traces with a guarded backedge or side
+    // exits (zeros included for a stable key set).
     const std::string pp = prefix + ".pred_replay";
     r.counter(pp + ".builds").set(s.predReplay.builds);
     r.counter(pp + ".replays").set(s.predReplay.replays);
@@ -101,8 +101,6 @@ publishTraceCacheStats(Registry &r, const TraceCacheStats &s,
     r.counter(pp + ".sideExits").set(s.predReplay.sideExits);
     r.counter(pp + ".backedgeFallthroughs")
         .set(s.predReplay.backedgeFallthroughs);
-    r.counter(pp + ".midEngagements")
-        .set(s.predReplay.midEngagements);
     // Per-reason bailout split (sums to .bailouts). Every real
     // reason is published, zeros included, so the bench-diff and
     // history gates see a stable key set; None is the "traceable"

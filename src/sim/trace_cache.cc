@@ -3,15 +3,15 @@
  * Trace build (with its static safety gating) and the replay loop.
  *
  * The replay loop is a semantic twin of the decoded executor body
- * restricted to straight-line resident-loop iterations: same two-phase
- * bundle commit (unless the build proved a bundle direct-committable),
- * same nullification and sensitivity accounting, same per-loop
+ * restricted to resident-loop iterations: same two-phase bundle
+ * commit (unless the build proved a bundle direct-committable), same
+ * nullification, branch and sensitivity accounting, same per-loop
  * attribution — but with the block walk, fetch-path test and
- * per-bundle counter updates hoisted out (bulk per-iteration, and for
- * counted loops bulk per-activation). Every counter it touches must
- * end a run bit-identical to the general path; the engine-differential
- * test enforces that against the reference interpreter with the cache
- * force-enabled and force-disabled.
+ * per-bundle counter updates hoisted out (charged once per
+ * iteration). Every counter it touches must end a run bit-identical
+ * to the general path; the engine-differential test enforces that
+ * against the reference interpreter with the cache force-enabled and
+ * force-disabled.
  */
 
 #include "sim/trace_cache.hh"
@@ -19,6 +19,7 @@
 #include <algorithm>
 
 #include "obs/prof.hh"
+#include "sim/alu_ops.hh"
 #include "sim/dispatch.hh"
 #include "sim/vliw_sim.hh"
 #include "support/logging.hh"
@@ -28,28 +29,6 @@ namespace lbp
 
 namespace
 {
-
-std::int64_t
-sat16(std::int64_t v)
-{
-    return std::clamp<std::int64_t>(v, -32768, 32767);
-}
-
-double
-asDouble(std::int64_t v)
-{
-    double d;
-    __builtin_memcpy(&d, &v, sizeof(d));
-    return d;
-}
-
-std::int64_t
-asBits(double d)
-{
-    std::int64_t v;
-    __builtin_memcpy(&v, &d, sizeof(v));
-    return v;
-}
 
 /**
  * The loop's own backedge inside its head block: BR_CLOOP/BR_WLOOP
@@ -90,13 +69,9 @@ traceBailoutReasonName(TraceBailoutReason r)
       case TraceBailoutReason::EmptyBody: return "emptyBody";
       case TraceBailoutReason::NoHeadBackedge:
         return "noHeadBackedge";
-      case TraceBailoutReason::GuardedBackedge:
-        return "guardedBackedge";
       case TraceBailoutReason::SlotSensitiveBackedge:
         return "slotSensitiveBackedge";
       case TraceBailoutReason::CallInBody: return "callInBody";
-      case TraceBailoutReason::MultiControlOp:
-        return "multiControlOp";
       case TraceBailoutReason::NestedLoop: return "nestedLoop";
       case TraceBailoutReason::MultiBackedge:
         return "multiBackedge";
@@ -108,31 +83,27 @@ traceBailoutReasonName(TraceBailoutReason r)
 }
 
 TraceBailoutReason
-classifyTraceBody(const LoopCtx &ctx, const DecodedFunction &df,
-                  bool predReplay)
+classifyTraceBody(const LoopCtx &ctx, const DecodedFunction &df)
 {
     const DecodedBlock &db = df.blocks[ctx.head];
     if (!db.valid || db.bundleCount == 0)
         return TraceBailoutReason::EmptyBody;
 
     // The backedge: the loop's own BR_CLOOP / BR_WLOOP back to the
-    // head, non-sensitive; the strict tier also requires it
-    // unguarded (a predicated backedge could be nullified
-    // mid-activation, which only the predicated replay path models).
+    // head, non-sensitive. A guard is fine — replay evaluates it in
+    // stream order, and a nullified backedge hands back as a
+    // fall-through.
     const BackedgeLoc be = findBackedge(ctx, df);
     if (be.op == nullptr)
         return TraceBailoutReason::NoHeadBackedge;
-    if (be.op->guard != kNoPred && !predReplay)
-        return TraceBailoutReason::GuardedBackedge;
     if (be.op->sensitive)
         return TraceBailoutReason::SlotSensitiveBackedge;
 
-    // Every other op up to the backedge bundle must be straight-line,
-    // or — predicated tier only — a side exit the replay loop can
-    // compile into a trace-exit check. Calls, nested loops and second
-    // backedges stay untraceable under either tier (a second backedge
-    // mutates the activation's own iteration state, which a side-exit
-    // check cannot model).
+    // Every other op up to the backedge bundle must be straight-line
+    // or a side exit the replay loop turns into a trace-exit check.
+    // Calls, nested loops and second backedges stay untraceable (a
+    // second backedge mutates the activation's own iteration state,
+    // which a side-exit check cannot model).
     for (std::int32_t bi = 0; bi <= be.bundle; ++bi) {
         const DecodedBundle &bu = df.bundles[db.firstBundle + bi];
         for (std::uint32_t oi = 0; oi < bu.count; ++oi) {
@@ -149,13 +120,12 @@ classifyTraceBody(const LoopCtx &ctx, const DecodedFunction &df,
               case ExecHandler::FTOI:
               case ExecHandler::SELECT:
               case ExecHandler::ALU:
+              case ExecHandler::JUMP:
                 break;
               case ExecHandler::CALL:
               case ExecHandler::RET:
                 return TraceBailoutReason::CallInBody;
               case ExecHandler::BR:
-                if (!predReplay)
-                    return TraceBailoutReason::MultiControlOp;
                 // A second while backedge is not a side exit: the
                 // general path's BR handler gives it loop-iteration
                 // semantics (only in a non-counted context).
@@ -163,20 +133,12 @@ classifyTraceBody(const LoopCtx &ctx, const DecodedFunction &df,
                     m.target == ctx.head)
                     return TraceBailoutReason::MultiBackedge;
                 break;
-              case ExecHandler::JUMP:
-                if (!predReplay)
-                    return TraceBailoutReason::MultiControlOp;
-                break;
               case ExecHandler::BR_CLOOP:
-                return predReplay
-                           ? TraceBailoutReason::MultiBackedge
-                           : TraceBailoutReason::MultiControlOp;
+                return TraceBailoutReason::MultiBackedge;
               case ExecHandler::LOOP:
-                return predReplay
-                           ? TraceBailoutReason::NestedLoop
-                           : TraceBailoutReason::MultiControlOp;
-              default:
-                return TraceBailoutReason::MultiControlOp;
+                return TraceBailoutReason::NestedLoop;
+              case ExecHandler::COUNT:
+                LBP_PANIC("bad handler byte in trace build");
             }
         }
     }
@@ -200,7 +162,6 @@ accumulateTraceCacheStats(TraceCacheStats &into,
     into.predReplay.sideExits += from.predReplay.sideExits;
     into.predReplay.backedgeFallthroughs +=
         from.predReplay.backedgeFallthroughs;
-    into.predReplay.midEngagements += from.predReplay.midEngagements;
     for (std::size_t i = 0;
          i < static_cast<std::size_t>(TraceBailoutReason::Count);
          ++i)
@@ -219,9 +180,8 @@ accumulateTraceCacheStats(TraceCacheStats &into,
     }
 }
 
-TraceCache::TraceCache(std::size_t numLoops, bool slotMode,
-                       bool predReplay)
-    : traces_(numLoops), slotMode_(slotMode), predReplay_(predReplay)
+TraceCache::TraceCache(std::size_t numLoops, bool slotMode)
+    : traces_(numLoops), slotMode_(slotMode)
 {
     stats_.perLoop.resize(numLoops);
 }
@@ -275,34 +235,27 @@ TraceCache::build(LoopTrace &tr, const LoopCtx &ctx,
 {
     obs::prof::ScopedRegion profRegion(
         obs::prof::Region::TraceBuild);
-    tr.wloop = !ctx.counted;
 
     // Static gating first: any verdict other than None is a body
     // shape the replay loop cannot reproduce bit-exactly, recorded on
     // the trace so each later declined activation knows its reason.
-    const TraceBailoutReason verdict =
-        classifyTraceBody(ctx, df, predReplay_);
+    const TraceBailoutReason verdict = classifyTraceBody(ctx, df);
     if (verdict != TraceBailoutReason::None) {
         tr.state = LoopTrace::State::Untraceable;
         tr.reason = verdict;
         return;
     }
-    // A body the strict tier rejects but the wide tier admits needs
-    // the predicated replay path (control ops stay in the stream).
-    tr.predicated =
-        predReplay_ &&
-        classifyTraceBody(ctx, df, false) != TraceBailoutReason::None;
 
     const DecodedBlock &db = df.blocks[ctx.head];
     const BackedgeLoc be = findBackedge(ctx, df);
     const MicroOp *const backedge = be.op;
-    const std::int32_t beBundle = be.bundle;
+    tr.predicated = backedge->guard != kNoPred;
 
     // Flatten bundles 0..backedge, baking the static facts replay
     // uses: can the op ever be nullified, and can the bundle commit
     // writes in place (no op reads register/predicate/slot state an
     // earlier same-bundle op writes; no load after a store).
-    for (std::int32_t bi = 0; bi <= beBundle; ++bi) {
+    for (std::int32_t bi = 0; bi <= be.bundle; ++bi) {
         const DecodedBundle &bu = df.bundles[db.firstBundle + bi];
         TraceBundle tb;
         tb.first = static_cast<std::uint32_t>(tr.ops.size());
@@ -335,14 +288,11 @@ TraceCache::build(LoopTrace &tr, const LoopCtx &ctx,
         for (std::uint32_t oi = 0; oi < bu.count; ++oi) {
             const MicroOp &m = df.ops[bu.first + oi];
             if (&m == backedge) {
-                if (!tr.predicated)
-                    continue;
-                // Predicated traces keep the backedge in the stream
-                // so its guard and condition read live bundle-order
-                // state; readsEarlierWrite covers its operands the
-                // same way it covers every other op.
                 tr.beOpIndex =
                     static_cast<std::uint32_t>(tr.ops.size());
+            } else if (m.handler == ExecHandler::BR ||
+                       m.handler == ExecHandler::JUMP) {
+                tr.predicated = true;  // a side exit
             }
             if (readsEarlierWrite(m))
                 direct = false;
@@ -378,23 +328,6 @@ TraceCache::build(LoopTrace &tr, const LoopCtx &ctx,
         // two-phase path; keep that diagnosable.
         if (slotWrites >= 2)
             direct = false;
-        // While backedges read their condition at the head of the
-        // bundle in replay; that snapshot is only exact if nothing in
-        // the bundle commits to the condition sources before it.
-        // Predicated traces keep the backedge in stream order, where
-        // readsEarlierWrite already covered its operands.
-        if (bi == beBundle && tr.wloop && !tr.predicated) {
-            for (const XSrc *s :
-                 {&backedge->src[0], &backedge->src[1]}) {
-                if ((s->kind == XSrc::REG &&
-                     wrote(wRegs,
-                           static_cast<std::int32_t>(s->idx))) ||
-                    (s->kind == XSrc::PRED &&
-                     wrote(wPreds,
-                           static_cast<std::int32_t>(s->idx))))
-                    direct = false;
-            }
-        }
         tb.count =
             static_cast<std::uint32_t>(tr.ops.size()) - tb.first;
         tb.direct = direct;
@@ -402,11 +335,6 @@ TraceCache::build(LoopTrace &tr, const LoopCtx &ctx,
         tr.opsPerIter += static_cast<std::uint64_t>(bu.sizeOps);
     }
 
-    tr.beCond = backedge->cond;
-    tr.beSrc0 = backedge->src[0];
-    tr.beSrc1 = backedge->src[1];
-    tr.resumeBundle = static_cast<std::uint32_t>(beBundle + 1);
-    tr.bundlesPerIter = static_cast<std::uint64_t>(beBundle) + 1;
     tr.state = LoopTrace::State::Ready;
     ++stats_.builds;
     if (tr.predicated)
@@ -415,8 +343,7 @@ TraceCache::build(LoopTrace &tr, const LoopCtx &ctx,
 
 ReplayResult
 VliwSim::replayResident(LoopCtx &ctx, const DecodedFunction &df,
-                        std::int64_t *regs, std::uint8_t *preds,
-                        std::size_t startBundle)
+                        std::int64_t *regs, std::uint8_t *preds)
 {
     TraceCache &tc = *traceCache_;
     LoopTrace &tr = tc.acquire(ctx, df);
@@ -426,14 +353,6 @@ VliwSim::replayResident(LoopCtx &ctx, const DecodedFunction &df,
             ctx.traceDeclined = true;
             tc.countBailout(ctx.loopId, tr.reason);
         }
-        return {};
-    }
-    if (startBundle != 0 &&
-        (!tr.predicated || startBundle >= tr.bundles.size())) {
-        // Arrival point outside the trace extent — or a fast-tier
-        // trace, which replays whole iterations from bundle 0 only.
-        // Not a bailout: the general path runs this bundle and the
-        // gate retries at the next head-block arrival.
         return {};
     }
 
@@ -478,21 +397,13 @@ VliwSim::replayResident(LoopCtx &ctx, const DecodedFunction &df,
     };
 
     const MicroOp *const opBase = tr.ops.data();
+    const MicroOp *const beOp = opBase + tr.beOpIndex;
     const TraceBundle *const buBase = tr.bundles.data();
     const std::size_t nBundles = tr.bundles.size();
-    const bool wloop = tr.wloop;
-    const bool predicated = tr.predicated;
-    const std::size_t beIdx = tr.beOpIndex;
 
-    // While-backedge condition operands, snapshotted at the head of
-    // the backedge bundle (exactness guaranteed by the build). Fast
-    // tier only: predicated traces evaluate the backedge op in
-    // stream order instead.
-    std::int64_t beA = 0, beB = 0;
-
-    // Per-bundle control outcome. Only predicated traces carry
-    // control ops, so the fast tier never sets these; the predicated
-    // driver resets them before each bundle.
+    // Control outcome of the current iteration, set by the control
+    // handlers. The backedge sits in the last bundle, so only a taken
+    // side exit can end an iteration early.
     bool sawControl = false;
     bool backTaken = false;
     bool backFell = false;
@@ -501,14 +412,12 @@ VliwSim::replayResident(LoopCtx &ctx, const DecodedFunction &df,
     bool sideTaken = false;
     BlockId sideTgt = kNoBlock;
 
-    auto execBundles = [&](std::size_t biBegin, std::size_t biEnd) {
+    // Run one iteration and return how many bundles it issued: all of
+    // them, unless a taken side exit stopped it after its own bundle.
+    auto execIteration = [&]() -> std::size_t {
         LBP_DISPATCH_TABLE();
-        for (std::size_t bi = biBegin; bi < biEnd; ++bi) {
+        for (std::size_t bi = 0; bi < nBundles; ++bi) {
             const TraceBundle &tb = buBase[bi];
-            if (wloop && !predicated && bi + 1 == nBundles) {
-                beA = readSrc(tr.beSrc0);
-                beB = readSrc(tr.beSrc1);
-            }
             const bool direct = tb.direct;
             int nRegW = 0, nPredW = 0, nSlotW = 0, nMemW = 0;
 
@@ -530,13 +439,11 @@ VliwSim::replayResident(LoopCtx &ctx, const DecodedFunction &df,
                         // JUMP / BR_CLOOP / BR_WLOOP); a nullified
                         // backedge means the iteration falls through
                         // it and the activation stays live.
-                        if (predicated &&
-                            (m->handler == ExecHandler::BR ||
-                             m->handler == ExecHandler::JUMP ||
-                             m->handler == ExecHandler::BR_CLOOP)) {
+                        if (m->handler == ExecHandler::BR ||
+                            m->handler == ExecHandler::JUMP ||
+                            m->handler == ExecHandler::BR_CLOOP) {
                             ++stats_.branches;
-                            if (static_cast<std::size_t>(
-                                    m - opBase) == beIdx)
+                            if (m == beOp)
                                 backFell = true;
                         }
                         continue;
@@ -712,54 +619,9 @@ VliwSim::replayResident(LoopCtx &ctx, const DecodedFunction &df,
                   }
 
                   LBP_HANDLER(ALU) {
-                    const std::int64_t a = readSrc(m->src[0]);
-                    const std::int64_t b = readSrc(m->src[1]);
-                    std::int64_t v = 0;
-                    switch (m->op) {
-                      case Opcode::ADD: v = a + b; break;
-                      case Opcode::SUB: v = a - b; break;
-                      case Opcode::MUL: v = a * b; break;
-                      case Opcode::DIV:
-                        LBP_ASSERT(b != 0, "div by zero");
-                        v = a / b;
-                        break;
-                      case Opcode::REM:
-                        LBP_ASSERT(b != 0, "rem by zero");
-                        v = a % b;
-                        break;
-                      case Opcode::AND: v = a & b; break;
-                      case Opcode::OR: v = a | b; break;
-                      case Opcode::XOR: v = a ^ b; break;
-                      case Opcode::SHL: v = a << (b & 63); break;
-                      case Opcode::SHR:
-                        v = static_cast<std::int64_t>(
-                            static_cast<std::uint64_t>(a) >>
-                            (b & 63));
-                        break;
-                      case Opcode::SHRA: v = a >> (b & 63); break;
-                      case Opcode::MIN: v = std::min(a, b); break;
-                      case Opcode::MAX: v = std::max(a, b); break;
-                      case Opcode::SATADD: v = sat16(a + b); break;
-                      case Opcode::SATSUB: v = sat16(a - b); break;
-                      case Opcode::CMP:
-                        v = evalCond(m->cond, a, b) ? 1 : 0;
-                        break;
-                      case Opcode::FADD:
-                        v = asBits(asDouble(a) + asDouble(b));
-                        break;
-                      case Opcode::FSUB:
-                        v = asBits(asDouble(a) - asDouble(b));
-                        break;
-                      case Opcode::FMUL:
-                        v = asBits(asDouble(a) * asDouble(b));
-                        break;
-                      case Opcode::FDIV:
-                        v = asBits(asDouble(a) / asDouble(b));
-                        break;
-                      default:
-                        LBP_PANIC("unhandled opcode in replay: ",
-                                  opcodeName(m->op));
-                    }
+                    const std::int64_t v = evalBinaryAlu(
+                        m->op, m->cond, readSrc(m->src[0]),
+                        readSrc(m->src[1]));
                     if (direct)
                         regs[m->dstReg] = v;
                     else
@@ -767,21 +629,20 @@ VliwSim::replayResident(LoopCtx &ctx, const DecodedFunction &df,
                     LBP_NEXT_OP;
                   }
 
-                  // Control ops survive the build gating only in
-                  // predicated traces: the activation's own backedge
-                  // (at beIdx) plus side exits. Each mirrors the
-                  // general path's handler semantics exactly; taken
-                  // transfers are resolved by the driver after the
-                  // bundle commits, like the general path's
-                  // end-of-bundle redirect.
+                  // Control ops: the activation's own backedge (at
+                  // beOp) plus side exits. Each mirrors the general
+                  // path's handler semantics exactly; taken transfers
+                  // are resolved by the driver after the bundle
+                  // commits, like the general path's end-of-bundle
+                  // redirect.
                   LBP_HANDLER(BR) {
                     ++stats_.branches;
                     const std::int64_t a = readSrc(m->src[0]);
                     const std::int64_t b = readSrc(m->src[1]);
                     const bool taken = evalCond(m->cond, a, b);
-                    if (wloop &&
-                        static_cast<std::size_t>(m - opBase) ==
-                            beIdx) {
+                    if (m == beOp) {
+                        // The while backedge (a counted loop's
+                        // backedge is a BR_CLOOP).
                         ++ctx.iterations;
                         ++ls.bufferIterations;
                         if (taken) {
@@ -863,142 +724,80 @@ VliwSim::replayResident(LoopCtx &ctx, const DecodedFunction &df,
                 for (int i = 0; i < nMemW; ++i)
                     storeBytes(memW[i].op, memW[i].addr, memW[i].v);
             }
+            if (sideTaken)
+                return bi + 1;
         }
+        return nBundles;
     };
 
+    // Whole iterations until the activation ends or hands back. The
+    // issue counters are charged per iteration from the build's
+    // per-iteration totals, or summed bundle by bundle for the one
+    // partial iteration a side exit can produce.
     std::uint64_t iters = 0;
+    std::uint64_t bundlesIssued = 0;
     std::uint64_t opsIssued = 0;
+    std::uint64_t sensIssued = 0;
     ReplayOutcome outcome;
-
-    if (predicated) {
-        // Predicated tier: per-bundle driver. No bulk accounting —
-        // any bundle may end the engagement (taken side exit,
-        // backedge exit, nullified backedge), so every counter the
-        // general path moves per head-block bundle moves here per
-        // trace bundle, in the same order.
-        ++tcs.predReplay.replays;
-        if (startBundle != 0)
-            ++tcs.predReplay.midEngagements;
-        outcome = ReplayOutcome::NotEngaged;
-        std::size_t bi = startBundle;
-        for (;;) {
-            const TraceBundle &tb = buBase[bi];
-            LBP_ASSERT(++bundlesExecuted_ <= cfg_.maxBundles,
-                       "bundle budget exceeded");
-            ++stats_.bundles;
-            ++stats_.cycles;
-            cycleStack_.charge(ctx.loopId,
-                               obs::CycleClass::IssueFromTraceReplay,
-                               1);
-            stats_.opsFetched += tb.sizeOps;
-            stats_.opsFromBuffer += tb.sizeOps;
-            ls.opsFromBuffer += tb.sizeOps;
-            if (slotMode)
-                stats_.opsSensitive += tb.sensOps;
-            opsIssued += static_cast<std::uint64_t>(tb.sizeOps);
-
-            sawControl = false;
-            backTaken = false;
-            backFell = false;
-            countedExit = false;
-            wloopExit = false;
-            sideTaken = false;
-            execBundles(bi, bi + 1);
-
-            if (sideTaken) {
-                // The caller mirrors the general path's end-of-bundle
-                // redirect (context cancellation + taken-branch
-                // penalty); a same-bundle backedge exit retires the
-                // activation first (ctxDone below).
-                if (countedExit || wloopExit)
-                    ++iters;
-                outcome = ReplayOutcome::SideExit;
-                break;
-            }
-            if (backTaken) {
-                ++iters;
-                bi = 0;
-                continue;
-            }
-            if (countedExit) {
-                ++iters;
-                outcome = ReplayOutcome::CountedDone;
-                break;
-            }
-            if (wloopExit) {
-                ++iters;
-                outcome = ReplayOutcome::WloopExit;
-                break;
-            }
-            if (backFell) {
-                outcome = ReplayOutcome::BackedgeFellThrough;
-                break;
-            }
-            ++bi;
-            LBP_ASSERT(bi < nBundles, "replay ran past trace extent");
-        }
-        if (outcome == ReplayOutcome::SideExit)
-            ++tcs.predReplay.sideExits;
-        else if (outcome == ReplayOutcome::BackedgeFellThrough)
-            ++tcs.predReplay.backedgeFallthroughs;
-        tcs.predReplay.iterations += iters;
-        tcs.predReplay.ops += opsIssued;
-    } else if (!wloop) {
-        // Counted: the iteration count is known now, so every
-        // per-iteration counter is applied in one shot and the hot
-        // loop below runs pure op semantics.
-        const std::uint64_t n =
-            static_cast<std::uint64_t>(ctx.remaining);
-        bundlesExecuted_ += n * tr.bundlesPerIter;
+    for (;;) {
+        sawControl = backTaken = backFell = false;
+        countedExit = wloopExit = sideTaken = false;
+        const std::size_t ran = execIteration();
+        bundlesExecuted_ += ran;
         LBP_ASSERT(bundlesExecuted_ <= cfg_.maxBundles,
                    "bundle budget exceeded");
-        stats_.bundles += n * tr.bundlesPerIter;
-        stats_.cycles += n * tr.bundlesPerIter;
-        cycleStack_.charge(ctx.loopId,
-                           obs::CycleClass::IssueFromTraceReplay,
-                           n * tr.bundlesPerIter);
-        stats_.opsFetched += n * tr.opsPerIter;
-        stats_.opsFromBuffer += n * tr.opsPerIter;
-        ls.opsFromBuffer += n * tr.opsPerIter;
-        if (slotMode)
-            stats_.opsSensitive += n * tr.sensitivePerIter;
-        stats_.branches += n;
-        stats_.branchesTaken += n - 1;
-        ctx.iterations += n;
-        ls.bufferIterations += n;
-        ctx.remaining = 0;
-        for (std::uint64_t it = 0; it < n; ++it)
-            execBundles(0, nBundles);
-        iters = n;
-        opsIssued = n * tr.opsPerIter;
-        outcome = ReplayOutcome::CountedDone;
-    } else {
-        outcome = ReplayOutcome::WloopExit;
-        for (;;) {
-            bundlesExecuted_ += tr.bundlesPerIter;
-            LBP_ASSERT(bundlesExecuted_ <= cfg_.maxBundles,
-                       "bundle budget exceeded");
-            stats_.bundles += tr.bundlesPerIter;
-            stats_.cycles += tr.bundlesPerIter;
-            cycleStack_.charge(ctx.loopId,
-                               obs::CycleClass::IssueFromTraceReplay,
-                               tr.bundlesPerIter);
-            stats_.opsFetched += tr.opsPerIter;
-            stats_.opsFromBuffer += tr.opsPerIter;
-            ls.opsFromBuffer += tr.opsPerIter;
-            if (slotMode)
-                stats_.opsSensitive += tr.sensitivePerIter;
-            execBundles(0, nBundles);
-            ++iters;
-            ++stats_.branches;
-            ++ctx.iterations;
-            ++ls.bufferIterations;
-            if (!evalCond(tr.beCond, beA, beB))
-                break;  // while exit: the caller pays the penalty
-            ++stats_.branchesTaken;
+        bundlesIssued += ran;
+        if (ran == nBundles) {
+            opsIssued += tr.opsPerIter;
+            sensIssued += tr.sensitivePerIter;
+        } else {
+            for (std::size_t bi = 0; bi < ran; ++bi) {
+                opsIssued += static_cast<std::uint64_t>(
+                    buBase[bi].sizeOps);
+                sensIssued += static_cast<std::uint64_t>(
+                    buBase[bi].sensOps);
+            }
         }
-        opsIssued = iters * tr.opsPerIter;
+
+        if (sideTaken) {
+            // The caller mirrors the general path's end-of-bundle
+            // redirect (context cancellation + taken-branch penalty);
+            // a same-bundle backedge exit retires the activation
+            // first (ctxDone below).
+            if (countedExit || wloopExit)
+                ++iters;
+            outcome = ReplayOutcome::SideExit;
+            break;
+        }
+        if (backTaken) {
+            ++iters;
+            continue;
+        }
+        if (countedExit) {
+            ++iters;
+            outcome = ReplayOutcome::CountedDone;
+            break;
+        }
+        if (wloopExit) {
+            ++iters;
+            outcome = ReplayOutcome::WloopExit;
+            break;
+        }
+        LBP_ASSERT(backFell, "replay iteration without a backedge");
+        outcome = ReplayOutcome::BackedgeFellThrough;
+        break;
     }
+
+    stats_.bundles += bundlesIssued;
+    stats_.cycles += bundlesIssued;
+    cycleStack_.charge(ctx.loopId,
+                       obs::CycleClass::IssueFromTraceReplay,
+                       bundlesIssued);
+    stats_.opsFetched += opsIssued;
+    stats_.opsFromBuffer += opsIssued;
+    ls.opsFromBuffer += opsIssued;
+    if (slotMode)
+        stats_.opsSensitive += sensIssued;
 
     tcs.replayedIterations += iters;
     tcs.replayedOps += opsIssued;
@@ -1006,10 +805,19 @@ VliwSim::replayResident(LoopCtx &ctx, const DecodedFunction &df,
     ++pl.replays;
     pl.iterations += iters;
     pl.ops += opsIssued;
+    if (tr.predicated) {
+        ++tcs.predReplay.replays;
+        tcs.predReplay.iterations += iters;
+        tcs.predReplay.ops += opsIssued;
+        if (outcome == ReplayOutcome::SideExit)
+            ++tcs.predReplay.sideExits;
+        else if (outcome == ReplayOutcome::BackedgeFellThrough)
+            ++tcs.predReplay.backedgeFallthroughs;
+    }
 
     ReplayResult rr;
     rr.outcome = outcome;
-    rr.resumeBundle = tr.resumeBundle;
+    rr.resumeBundle = static_cast<std::uint32_t>(nBundles);
     rr.sideTarget = sideTgt;
     rr.ctxDone = countedExit || wloopExit;
     rr.whileExit = wloopExit;

@@ -7,30 +7,27 @@
  * path still re-walks the block table, re-checks fetch accounting and
  * re-dispatches every micro-op of every iteration. The trace cache
  * instead builds — once, at first replayed residency — a flattened
- * per-loop trace of the body bundles up to and including the backedge,
- * with per-op facts that are invariant for the whole activation baked
- * in (can the op ever be nullified; can the bundle commit its writes
- * directly), and then replays that trace iteration after iteration
- * until the loop's own exit, bulk-accounting the per-iteration
- * counters. Control is handed back to the general path exactly at the
- * bundle after the backedge (counted exit / while exit) or at the
- * EXEC resume point.
+ * per-loop trace of the head-block bundles up to and including the
+ * backedge, with per-op facts that are invariant for the whole
+ * activation baked in (can the op ever be nullified; can the bundle
+ * commit its writes directly), and then replays that trace whole
+ * iteration after whole iteration, charging the per-iteration
+ * counters once per iteration. Control is handed back to the general
+ * path exactly at the bundle after the backedge (counted exit, while
+ * exit, or a nullified backedge falling through), at the EXEC resume
+ * point, or at a taken side exit's target.
  *
- * Safety gating happens entirely at build time. The fast tier
- * qualifies a body whose sole control transfer is the loop's own
- * unguarded, non-sensitive backedge with every other op from the
- * straight-line set (predicate defines, loads/stores, moves/converts/
- * select, the ALU family); such traces replay whole iterations with
- * bulk-accounted counters. The predicated tier (the paper's own
- * if-conversion move applied to the replay engine itself) widens
- * capture to bodies whose extra control ops are side exits — guarded
- * or conditional BR/JUMPs leaving the loop — and to guarded
- * backedges: those traces keep the control ops in the op stream,
- * evaluate their predicates from live machine state per iteration,
- * and compile side exits into trace-exit checks that hand control
- * back to the dispatch loop at the exact architectural point (the
- * redirect target, with the same penalties and loop-context
- * cancellation the general path would apply). Still untraceable:
+ * Safety gating happens entirely at build time. A body qualifies when
+ * its only ops are straight-line (predicate defines, loads/stores,
+ * moves/converts/select, the ALU family) or plain control: the loop's
+ * own non-sensitive backedge, guarded or not, and side exits (BR/JUMP
+ * leaving the loop). This is the paper's if-conversion applied to the
+ * replay engine itself: one trace format covers every such shape. The
+ * backedge always stays in the op stream, so its guard and condition
+ * read live state in bundle order; a taken side exit ends the
+ * iteration after its bundle commits and hands control back at the
+ * same architectural point, with the same penalties and loop-context
+ * cancellation the general path would apply. Still untraceable:
  * calls, nested loops, second backedges, slot-sensitive backedges —
  * each named by its own TraceBailoutReason so the scorecard keeps
  * saying which rule to widen next.
@@ -76,17 +73,15 @@ enum class TraceBailoutReason : std::uint8_t
     Unknown,               ///< unclassified (must stay unreachable)
     EmptyBody,             ///< head block invalid or bundle-less
     NoHeadBackedge,        ///< loop backedge not in the head block
-    GuardedBackedge,       ///< guarded backedge, pred replay disabled
     SlotSensitiveBackedge, ///< backedge is slot-predicate sensitive
     CallInBody,            ///< body calls (or returns) — frame churn
-    MultiControlOp,        ///< extra control op, pred replay disabled
     NestedLoop,            ///< body re-enters the loop machinery
     MultiBackedge,         ///< a second backedge to the head
     BelowEngageThreshold,  ///< counted trip < SimConfig::replayMinIters
     Count,
 };
 
-/** Stable lower-camel token for counters/columns ("guardedBackedge"). */
+/** Stable lower-camel token for counters/columns ("callInBody"). */
 const char *traceBailoutReasonName(TraceBailoutReason r);
 
 /**
@@ -105,10 +100,9 @@ struct TraceCacheStats
     std::uint64_t replayedOps = 0;   ///< ops issued from traces
 
     /**
-     * The predicated-replay tier's share of the counters above, plus
-     * its own exit taxonomy. Published as
-     * sim.trace_cache.pred_replay.*; the fast tier's share is the
-     * difference against the aggregate counters.
+     * The share of the counters above from predicated traces — bodies
+     * with a guarded backedge or side exits — plus their exit
+     * taxonomy. Published as sim.trace_cache.pred_replay.*.
      */
     struct PredReplay
     {
@@ -119,8 +113,6 @@ struct TraceCacheStats
         std::uint64_t sideExits = 0;  ///< replays ended by a taken exit
         /** Nullified-backedge hand-backs (activation stays live). */
         std::uint64_t backedgeFallthroughs = 0;
-        /** Engagements that started at a nonzero trace bundle. */
-        std::uint64_t midEngagements = 0;
     };
     PredReplay predReplay;
 
@@ -154,12 +146,10 @@ struct TraceBundle
 {
     std::uint32_t first = 0;    ///< into LoopTrace::ops
     std::uint32_t count = 0;
-    std::int32_t sizeOps = 0;   ///< fetch size (for bulk accounting)
+    std::int32_t sizeOps = 0;   ///< fetch size
     /**
-     * Slot-sensitive ops in the bundle (0 in REGISTER mode): the
-     * per-bundle opsSensitive charge of the predicated replay path,
-     * which cannot bulk-account per iteration because a side exit may
-     * end the iteration mid-body.
+     * Slot-sensitive ops in the bundle (0 in REGISTER mode), summed
+     * with sizeOps when a side exit ends an iteration mid-body.
      */
     std::int32_t sensOps = 0;
     /**
@@ -193,31 +183,17 @@ struct LoopTrace
     State state = State::Unbuilt;
     /** Build verdict when Untraceable; None while traceable. */
     TraceBailoutReason reason = TraceBailoutReason::None;
-    bool wloop = false;              ///< backedge is BR_WLOOP
     /**
-     * The trace carries control ops — a guarded backedge and/or side
-     * exits — and replays through the per-bundle predicated path
-     * instead of the bulk-accounted fast path. Predicated traces keep
-     * the backedge in the op stream (at beOpIndex) so its guard and
-     * condition read live state in bundle order.
+     * The body has a guarded backedge or side exits. Replay is the
+     * same; the flag only routes the counters into
+     * TraceCacheStats::PredReplay.
      */
     bool predicated = false;
 
-    /** Body ops; backedge excluded unless predicated. */
-    std::vector<MicroOp> ops;
+    std::vector<MicroOp> ops;        ///< body ops, backedge included
     std::vector<TraceBundle> bundles;///< head bundles 0..backedge
+    std::uint32_t beOpIndex = 0;     ///< the backedge's position in ops
 
-    /** Predicated only: the backedge's position in ops. */
-    std::uint32_t beOpIndex = 0;
-
-    // While-loop backedge condition (read at the backedge bundle).
-    // Fast-tier traces only; predicated traces evaluate the backedge
-    // op in stream order.
-    CmpCond beCond = CmpCond::EQ;
-    XSrc beSrc0, beSrc1;
-
-    std::uint32_t resumeBundle = 0;  ///< bundle index after backedge
-    std::uint64_t bundlesPerIter = 0;
     std::uint64_t opsPerIter = 0;    ///< fetch-size sum per iteration
     std::uint64_t sensitivePerIter = 0; ///< SLOT-mode sensitive ops
 };
@@ -227,26 +203,19 @@ struct LoopCtx;
 /**
  * Static build-gating verdict for @p ctx's body in @p df: None means
  * the body is traceable, anything else names the first rule it fails.
- * With @p predReplay the predicated tier's wider rules apply: guarded
- * backedges and side-exit control ops (BR/JUMP leaving the loop) pass,
- * while nested loops, second backedges, and calls stay named; without
- * it the legacy strict verdicts (GuardedBackedge, MultiControlOp) are
- * produced, which is what the LBP_SIM_NO_PRED_REPLAY escape hatch
- * reverts to. Pure classification — no trace is built, no counters
- * move. Exposed so tests can probe the taxonomy against synthetic
- * decoded images without driving a full activation;
- * TraceCache::build() derives its Untraceable verdicts from exactly
- * this function.
+ * Pure classification — no trace is built, no counters move. Exposed
+ * so tests can probe the taxonomy against synthetic decoded images
+ * without driving a full activation; TraceCache::build() derives its
+ * Untraceable verdicts from exactly this function.
  */
 TraceBailoutReason classifyTraceBody(const LoopCtx &ctx,
-                                     const DecodedFunction &df,
-                                     bool predReplay);
+                                     const DecodedFunction &df);
 
 /** Per-sim-instance trace store, keyed by interned dense loop id. */
 class TraceCache
 {
   public:
-    TraceCache(std::size_t numLoops, bool slotMode, bool predReplay);
+    TraceCache(std::size_t numLoops, bool slotMode);
 
     /**
      * The trace for @p ctx's loop, building it on first use. The
@@ -277,7 +246,6 @@ class TraceCache
     TraceCacheStats &stats() { return stats_; }
 
     bool slotMode() const { return slotMode_; }
-    bool predReplay() const { return predReplay_; }
 
   private:
     void build(LoopTrace &tr, const LoopCtx &ctx,
@@ -286,7 +254,6 @@ class TraceCache
     std::vector<LoopTrace> traces_;
     TraceCacheStats stats_;
     bool slotMode_;
-    bool predReplay_;
 };
 
 } // namespace lbp

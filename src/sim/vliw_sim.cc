@@ -33,40 +33,6 @@ traceCacheEnabled(const SimConfig &cfg)
     return true;
 }
 
-/** Resolve the predicated-replay tier config against the env. */
-bool
-predReplayEnabled(const SimConfig &cfg)
-{
-    switch (cfg.predReplay) {
-      case PredReplayMode::On:
-        return true;
-      case PredReplayMode::Off:
-        return false;
-      case PredReplayMode::Auto: {
-        const char *e = std::getenv("LBP_SIM_NO_PRED_REPLAY");
-        return !(e && *e);
-      }
-    }
-    return true;
-}
-
-/**
- * The counted-loop replay engage threshold: the config value, unless
- * LBP_SIM_REPLAY_MIN_ITERS holds a fully parsed non-negative integer.
- */
-std::int64_t
-replayMinItersResolved(const SimConfig &cfg)
-{
-    const char *e = std::getenv("LBP_SIM_REPLAY_MIN_ITERS");
-    if (e && *e) {
-        char *end = nullptr;
-        const long long v = std::strtoll(e, &end, 10);
-        if (end && *end == '\0' && v >= 0)
-            return static_cast<std::int64_t>(v);
-    }
-    return cfg.replayMinIters;
-}
-
 std::int64_t
 sat16(std::int64_t v)
 {
@@ -116,12 +82,10 @@ VliwSim::VliwSim(const SchedProgram &code, const SimConfig &cfg,
             decoded_ = ownedDecoded_.get();
         }
     }
-    cfg_.replayMinIters = replayMinItersResolved(cfg_);
     if (cfg_.engine == SimEngine::DECODED && traceCacheEnabled(cfg_))
         traceCache_ = std::make_unique<TraceCache>(
             loopTable_->keys.size(),
-            cfg_.predMode == PredMode::SLOT,
-            predReplayEnabled(cfg_));
+            cfg_.predMode == PredMode::SLOT);
     slotPred_.fill(1);
 }
 

@@ -152,23 +152,6 @@ enum class TraceCacheMode
 };
 
 /**
- * Predicated trace replay control (decoded engine, trace cache on).
- *
- * Auto — the default — enables the predicated tier unless the
- * LBP_SIM_NO_PRED_REPLAY environment variable is set non-empty (the
- * CI/check.sh hook for exercising the legacy strict gating under the
- * full test matrix). On/Off force it regardless of the environment;
- * the engine-differential test pins the off leg against reference,
- * cache-on and cache-off.
- */
-enum class PredReplayMode
-{
-    Auto,
-    On,
-    Off,
-};
-
-/**
  * Counted loops engage replay only with at least this many iterations
  * left (the default for SimConfig::replayMinIters). A trace is a
  * second copy of the body's micro-ops, cold on every engagement after
@@ -206,14 +189,9 @@ struct SimConfig
     /** Resident-loop trace cache (see TraceCacheMode). */
     TraceCacheMode traceCache = TraceCacheMode::Auto;
 
-    /** Predicated trace replay tier (see PredReplayMode). */
-    PredReplayMode predReplay = PredReplayMode::Auto;
-
     /**
      * Minimum remaining iterations for a counted loop to engage trace
      * replay (see kMinCountedReplayIters for the tuning rationale).
-     * The LBP_SIM_REPLAY_MIN_ITERS environment variable, when set to
-     * a non-negative integer, overrides this at VliwSim construction.
      */
     std::int64_t replayMinIters = kMinCountedReplayIters;
 
@@ -279,16 +257,16 @@ enum class ReplayOutcome : std::uint8_t
     CountedDone, ///< counted exit — predicted, falls through free
     WloopExit,   ///< while exit from the buffer — mispredicted
     /**
-     * Predicated tier: a non-backedge branch in the body was taken.
-     * The caller mirrors the general path's end-of-bundle redirect —
-     * loop-context cancellation, the taken-branch penalty, and fetch
-     * resuming at sideTarget bundle 0.
+     * A non-backedge branch in the body was taken. The caller mirrors
+     * the general path's end-of-bundle redirect — loop-context
+     * cancellation, the taken-branch penalty, and fetch resuming at
+     * sideTarget bundle 0.
      */
     SideExit,
     /**
-     * Predicated tier: the guarded backedge was nullified, so the
-     * iteration fell through it. The activation stays live and the
-     * general path resumes at resumeBundle of the head block.
+     * The guarded backedge was nullified, so the iteration fell
+     * through it. The activation stays live and the general path
+     * resumes at resumeBundle of the head block.
      */
     BackedgeFellThrough,
 };
@@ -392,18 +370,14 @@ class VliwSim
     /**
      * Replay the resident loop on top of the loop stack from its
      * cached trace (trace_cache.cc). Called from the untraced decoded
-     * body at any bundle boundary inside the loop head; @p startBundle
-     * is the dispatcher's current bundle index, so a predicated trace
-     * can engage mid-activation (partial first iteration) instead of
-     * waiting for the next bundle-0 arrival. NotEngaged means the
-     * body is untraceable — or the arrival point is outside the trace
-     * extent — and the general path must run it.
+     * body when fetch arrives at the loop head's first bundle.
+     * NotEngaged means the body is untraceable and the general path
+     * must run it.
      */
     ReplayResult replayResident(LoopCtx &ctx,
                                 const DecodedFunction &df,
                                 std::int64_t *regs,
-                                std::uint8_t *preds,
-                                std::size_t startBundle);
+                                std::uint8_t *preds);
 
     std::int64_t readOperand(const Frame &fr, const Operand &o) const;
     bool opExecutes(const Frame &fr, const Operation &op,

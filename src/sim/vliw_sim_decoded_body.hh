@@ -30,10 +30,11 @@
 #ifndef LBP_SIM_VLIW_SIM_DECODED_BODY_HH
 #define LBP_SIM_VLIW_SIM_DECODED_BODY_HH
 
-#include <algorithm>
+#include <cstdlib>
 
 #include "obs/prof.hh"
 #include "obs/trace.hh"
+#include "sim/alu_ops.hh"
 #include "sim/decoded.hh"
 #include "sim/dispatch.hh"
 #include "sim/trace_cache.hh"
@@ -42,33 +43,6 @@
 
 namespace lbp
 {
-
-namespace
-{
-
-std::int64_t
-sat16(std::int64_t v)
-{
-    return std::clamp<std::int64_t>(v, -32768, 32767);
-}
-
-double
-asDouble(std::int64_t v)
-{
-    double d;
-    __builtin_memcpy(&d, &v, sizeof(d));
-    return d;
-}
-
-std::int64_t
-asBits(double d)
-{
-    std::int64_t v;
-    __builtin_memcpy(&v, &d, sizeof(v));
-    return v;
-}
-
-} // namespace
 
 /**
  * Trace emission for the templated executor: compiles to nothing in
@@ -167,19 +141,17 @@ VliwSim::callFunctionDecodedImpl(FuncId f,
         const DecodedBlock &db = df.blocks[curBlk];
         LBP_ASSERT(db.valid, "sim in dead or unscheduled block");
 
-        // Trace-cache engagement: arriving anywhere in the head block
-        // of the innermost loop while it issues from the buffer is the
-        // replay condition (predicated traces can engage mid-bundle —
-        // a trace built on this activation starts paying off now; the
-        // fast tier and out-of-extent arrivals decline inside
-        // replayResident). Untraced instantiation only — replay emits
-        // no events, and gating it to Traced=false keeps the traced
-        // event stream byte-identical by construction. A NotEngaged
-        // result falls through to the general path; declines latch
-        // traceDeclined so resident-but-untraceable loops pay the
-        // gate once per activation, not once per bundle.
+        // Trace-cache engagement: arriving at the first bundle of the
+        // innermost loop's head block while it issues from the buffer
+        // is the replay condition (traces replay whole iterations).
+        // Untraced instantiation only — replay emits no events, and
+        // gating it to Traced=false keeps the traced event stream
+        // byte-identical by construction. A NotEngaged result falls
+        // through to the general path; declines latch traceDeclined
+        // so resident-but-untraceable loops pay the gate once per
+        // activation, not once per iteration.
         if constexpr (!Traced) {
-            if (traceCache_ && !loopStack.empty()) {
+            if (traceCache_ && curBu == 0 && !loopStack.empty()) {
                 LoopCtx &top = loopStack.back();
                 if (top.head == curBlk && top.fromBuffer &&
                     !top.traceDeclined) {
@@ -195,8 +167,8 @@ VliwSim::callFunctionDecodedImpl(FuncId f,
                             top.loopId,
                             TraceBailoutReason::BelowEngageThreshold);
                     } else {
-                        const ReplayResult rr = replayResident(
-                            top, df, regs, preds, curBu);
+                        const ReplayResult rr =
+                            replayResident(top, df, regs, preds);
                         switch (rr.outcome) {
                           case ReplayOutcome::NotEngaged:
                             break;
@@ -677,55 +649,10 @@ VliwSim::callFunctionDecodedImpl(FuncId f,
               }
 
               LBP_HANDLER(ALU) {
-                // Binary ALU family.
-                const std::int64_t a = readSrc(m->src[0]);
-                const std::int64_t b = readSrc(m->src[1]);
-                std::int64_t v = 0;
-                switch (m->op) {
-                  case Opcode::ADD: v = a + b; break;
-                  case Opcode::SUB: v = a - b; break;
-                  case Opcode::MUL: v = a * b; break;
-                  case Opcode::DIV:
-                    LBP_ASSERT(b != 0, "div by zero");
-                    v = a / b;
-                    break;
-                  case Opcode::REM:
-                    LBP_ASSERT(b != 0, "rem by zero");
-                    v = a % b;
-                    break;
-                  case Opcode::AND: v = a & b; break;
-                  case Opcode::OR: v = a | b; break;
-                  case Opcode::XOR: v = a ^ b; break;
-                  case Opcode::SHL: v = a << (b & 63); break;
-                  case Opcode::SHR:
-                    v = static_cast<std::int64_t>(
-                        static_cast<std::uint64_t>(a) >> (b & 63));
-                    break;
-                  case Opcode::SHRA: v = a >> (b & 63); break;
-                  case Opcode::MIN: v = std::min(a, b); break;
-                  case Opcode::MAX: v = std::max(a, b); break;
-                  case Opcode::SATADD: v = sat16(a + b); break;
-                  case Opcode::SATSUB: v = sat16(a - b); break;
-                  case Opcode::CMP:
-                    v = evalCond(m->cond, a, b) ? 1 : 0;
-                    break;
-                  case Opcode::FADD:
-                    v = asBits(asDouble(a) + asDouble(b));
-                    break;
-                  case Opcode::FSUB:
-                    v = asBits(asDouble(a) - asDouble(b));
-                    break;
-                  case Opcode::FMUL:
-                    v = asBits(asDouble(a) * asDouble(b));
-                    break;
-                  case Opcode::FDIV:
-                    v = asBits(asDouble(a) / asDouble(b));
-                    break;
-                  default:
-                    LBP_PANIC("unhandled opcode in decoded sim: ",
-                              opcodeName(m->op));
-                }
-                regW[nRegW++] = {m->dstReg, v};
+                regW[nRegW++] = {m->dstReg,
+                                 evalBinaryAlu(m->op, m->cond,
+                                               readSrc(m->src[0]),
+                                               readSrc(m->src[1]))};
                 LBP_NEXT_OP;
               }
               LBP_BAD_HANDLER();

@@ -5,8 +5,10 @@
  * loops, memory traffic, helper calls) are compiled under both
  * optimization levels and simulated under both predication modes at
  * several buffer sizes; every configuration must reproduce the
- * reference interpreter's checksum and return values. This is the
- * fuzzing backstop behind the hand-written per-pass tests.
+ * reference interpreter's checksum and return values, and the decoded
+ * engine — trace cache forced on and off — must match the reference
+ * sim engine on every SimStats field. This is the fuzzing backstop
+ * behind the hand-written per-pass tests.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +16,7 @@
 #include "core/compiler.hh"
 #include "ir/builder.hh"
 #include "ir/interpreter.hh"
+#include "obs/publish.hh"
 #include "sim/vliw_sim.hh"
 #include "support/random.hh"
 #include "workloads/input_data.hh"
@@ -217,16 +220,30 @@ TEST_P(DifferentialTest, AllConfigsMatchInterpreter)
         EXPECT_EQ(cr.goldenChecksum, golden.checksum);
         for (int size : {24, 256}) {
             reallocateBuffers(cr, size);
+            const std::string what =
+                "seed " + std::to_string(GetParam()) + " cfg " +
+                std::to_string(cfg) + " size " + std::to_string(size);
             SimConfig sc;
             sc.bufferOps = size;
             sc.predMode = PredMode::SLOT;
-            VliwSim sim(cr.code, sc);
-            const auto st = sim.run();
-            EXPECT_EQ(st.checksum, golden.checksum)
-                << "seed " << GetParam() << " cfg " << cfg
-                << " size " << size;
-            EXPECT_EQ(st.returns, golden.returns)
-                << "seed " << GetParam();
+            sc.engine = SimEngine::REFERENCE;
+            const SimStats ref = VliwSim(cr.code, sc).run();
+            EXPECT_EQ(ref.checksum, golden.checksum) << what;
+            EXPECT_EQ(ref.returns, golden.returns) << what;
+
+            // The decoded engine with the trace cache forced on and
+            // off: every field, not just checksum and returns.
+            sc.engine = SimEngine::DECODED;
+            for (TraceCacheMode mode :
+                 {TraceCacheMode::On, TraceCacheMode::Off}) {
+                sc.traceCache = mode;
+                const SimStats dec = VliwSim(cr.code, sc).run();
+                const std::string diff = obs::diffSimStats(
+                    ref, dec, "reference",
+                    mode == TraceCacheMode::On ? "cache-on"
+                                               : "cache-off");
+                EXPECT_TRUE(diff.empty()) << what << "\n" << diff;
+            }
         }
     }
 }

@@ -142,23 +142,14 @@ TEST_P(EngineDifferential, DecodedMatchesReference)
                 sc.engine = SimEngine::REFERENCE;
                 VliwSim refSim(cr.code, sc);
                 const SimStats ref = refSim.run();
-                // Decoded engine three ways: trace cache
-                // force-enabled (predicated replay on), enabled with
-                // predicated replay forced off (fast tier only), and
-                // force-disabled — so the predicated replay path,
-                // the strict fast tier, and the general path are all
-                // pinned to the reference regardless of the
-                // LBP_SIM_NO_TRACE_CACHE / LBP_SIM_NO_PRED_REPLAY
-                // defaults.
+                // Decoded engine two ways: trace cache force-enabled
+                // and force-disabled — so the replay path and the
+                // general path are both pinned to the reference
+                // regardless of the LBP_SIM_NO_TRACE_CACHE default.
                 sc.engine = SimEngine::DECODED;
                 sc.traceCache = TraceCacheMode::On;
-                sc.predReplay = PredReplayMode::On;
                 VliwSim decSim(cr.code, sc);
                 const SimStats dec = decSim.run();
-                sc.predReplay = PredReplayMode::Off;
-                VliwSim decStrictSim(cr.code, sc);
-                const SimStats decStrict = decStrictSim.run();
-                sc.predReplay = PredReplayMode::On;
                 sc.traceCache = TraceCacheMode::Off;
                 VliwSim decOffSim(cr.code, sc);
                 const SimStats decOff = decOffSim.run();
@@ -177,22 +168,15 @@ TEST_P(EngineDifferential, DecodedMatchesReference)
                     (mode == PredMode::SLOT ? "slot" : "reg") +
                     " size=" + std::to_string(size);
                 expectIdentical(ref, dec, what + " cache=on");
-                expectIdentical(ref, decStrict,
-                                what + " pred-replay=off");
                 expectIdentical(ref, decOff, what + " cache=off");
                 expectCycleStackClosed(refSim, ref,
                                        what + " reference");
                 expectCycleStackClosed(decSim, dec,
                                        what + " cache=on");
-                expectCycleStackClosed(decStrictSim, decStrict,
-                                       what + " pred-replay=off");
                 expectCycleStackClosed(decOffSim, decOff,
                                        what + " cache=off");
                 expectCollapsedStacksEqual(refSim, decSim,
                                            what + " ref vs on");
-                expectCollapsedStacksEqual(refSim, decStrictSim,
-                                           what +
-                                               " ref vs strict");
                 expectCollapsedStacksEqual(refSim, decOffSim,
                                            what + " ref vs off");
             }
