@@ -27,7 +27,7 @@
 #include "transform/loop_peel.hh"
 #include "transform/promote.hh"
 #include "ir/verifier.hh"
-#include "profile/profile.hh"
+#include "ir/decoded_interpreter.hh"
 #include "sched/list_scheduler.hh"
 #include "sched/modulo_scheduler.hh"
 #include "transform/inliner.hh"
@@ -61,10 +61,9 @@ compileAblated(const Program &input, const AblationKnobs &k,
     out.ir = input;
     Program &prog = out.ir;
     verifyOrDie(prog);
-    auto run0 = profileProgram(prog);
-    out.goldenChecksum = run0.result.checksum;
+    out.goldenChecksum = profileProgram(prog).checksum;
     if (k.inlineCalls)
-        inlineHotCalls(prog, run0.profile);
+        inlineHotCalls(prog);
     optimizeProgram(prog);
     if (k.peel)
         peelLoops(prog);

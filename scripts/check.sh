@@ -8,7 +8,10 @@
 # trace ring and JSON parser are exactly the kind of index-arithmetic
 # code sanitizers pay for — plus the engine differential under the
 # LBP_SIM_NO_TRACE_CACHE env override, so the trace replay path and
-# the general decoded path both run sanitized — then a TSan build of
+# the general decoded path both run sanitized, the IR-interpreter
+# differential (tree-walker vs decoded interpreter, stage verifier),
+# and the signed-overflow regressions in both interpreters, both sim
+# engines and example_lbpc — then a TSan build of
 # the same surface (thread pool + concurrent registry updates, and the
 # self-profiler's signal-handler-vs-marker concurrency through
 # tests/test_obs_prof.cc, which rides the obs label in both sanitizer
@@ -80,8 +83,21 @@ cmake -B "$SAN_BUILD" -S . \
     -DCMAKE_CXX_FLAGS="-O1 -g -fsanitize=address,undefined \
 -fno-sanitize-recover=all -fno-omit-frame-pointer"
 cmake --build "$SAN_BUILD" -j "$(nproc)" \
-    --target lbp_obs_tests lbp_sim_tests lbp_stats
+    --target lbp_obs_tests lbp_sim_tests lbp_tests lbp_stats \
+    example_lbpc
 ctest --test-dir "$SAN_BUILD" --output-on-failure -L obs
+# IR interpreters under ASan+UBSan: every interpreter case on both
+# interpreters (faults, Table 2, two's-complement overflow), the
+# generated-program differential (both interpreters on each input and
+# compiled IR), and the stage verifier's skip/re-run contract; then
+# the overflow regression on both sim engines and through lbpc.
+"$SAN_BUILD"/tests/lbp_tests \
+    --gtest_filter='Interp.*:AllKinds/Table2Test.*:Fuzz/DifferentialTest.*:StageVerifier.*' \
+    --gtest_brief=1
+"$SAN_BUILD"/tests/lbp_sim_tests \
+    --gtest_filter='Sim.OverflowWrapsOnBothEngines' --gtest_brief=1
+scripts/test_cli.sh "$SAN_BUILD"/examples/example_lbpc tests/golden \
+    lbpc_overflow
 # Sanitized engine differential with the trace cache disabled by env:
 # Auto resolves to off (general path sanitized), while the test's own
 # force-on leg keeps the replay path sanitized in the same run.

@@ -51,6 +51,9 @@
 #                 the offending file and lists the expected leaves.
 #   version       `--version` prints the schema triple, and the same
 #                 git SHA is stamped into every emitted JSON document.
+#   lbpc_overflow `example_lbpc` (passed as the first argument instead
+#                 of lbp_stats) compiles and simulates INT64_MIN / -1
+#                 at both levels: two's-complement result, exit 0.
 set -u
 
 LBP_STATS=$1
@@ -333,6 +336,29 @@ case "$CASE" in
         > /dev/null || fail "lbp_stats run --json exited nonzero"
     grep -q "\"git_sha\": \"$sha\"" "$TMP/a.json" \
         || fail "registry dump should stamp the same git SHA"
+    ;;
+
+  lbpc_overflow)
+    cat > "$TMP/ovf.lbp" <<'EOF'
+program ovf
+memory 8
+checksum 0 8
+entry main
+
+func main params() rets 0
+  block entry entry
+    mov r1 = -9223372036854775808
+    div r2 = r1, -1
+    mov r3 = 0
+    st.w r3, 0, r2
+    ret r2
+EOF
+    for level in "" --trad; do
+        "$LBP_STATS" "$TMP/ovf.lbp" $level > "$TMP/ovf.txt" \
+            || fail "example_lbpc $level exited $? on INT64_MIN / -1"
+        grep -q 'returned  : -9223372036854775808' "$TMP/ovf.txt" \
+            || fail "INT64_MIN / -1 should return INT64_MIN"
+    done
     ;;
 
   *)

@@ -1,13 +1,12 @@
 #include "core/compiler.hh"
 
 #include "analysis/loop_info.hh"
-#include "ir/interpreter.hh"
+#include "core/stage_verifier.hh"
 #include "ir/verifier.hh"
 #include "obs/phase_timer.hh"
 #include "obs/registry.hh"
 #include "sched/list_scheduler.hh"
 #include "sched/modulo_scheduler.hh"
-#include "support/logging.hh"
 #include "transform/classic_opts.hh"
 
 namespace lbp
@@ -28,21 +27,6 @@ isSimpleLoopBody(const BasicBlock &bb)
     if (term->op == Opcode::BR || term->op == Opcode::JUMP)
         return term->target == bb.id;
     return false;
-}
-
-void
-checkStage(const Program &prog, const CompileOptions &opts,
-           std::uint64_t golden, const char *stage)
-{
-    if (!opts.verifyStages)
-        return;
-    Interpreter interp(prog);
-    const auto r = interp.run(opts.profileArgs);
-    if (r.checksum != golden) {
-        LBP_FATAL("semantic checksum mismatch after stage '", stage,
-                  "' in program '", prog.name, "': golden=",
-                  golden, " got=", r.checksum);
-    }
 }
 
 } // namespace
@@ -70,19 +54,21 @@ compileProgram(const Program &input, const CompileOptions &opts,
                                 prog.sizeOps());
     };
 
-    // 1. Profile + golden checksum.
-    const ProfiledRun run0 = [&] {
+    // 1. Profile + golden checksum. The verifier re-interprets the
+    //    program after every transform stage whose output differs
+    //    from the last program it verified.
+    auto verifier = [&] {
         auto ph = phase("01_profile");
-        return profileProgram(prog, opts.profileArgs);
+        return StageVerifier(prog, opts.profileArgs, opts.verifyStages);
     }();
-    out.goldenChecksum = run0.result.checksum;
+    out.goldenChecksum = verifier.golden();
 
     // 2. Profile-guided inlining (<= 50% expansion, per the paper).
     if (opts.doInline) {
         auto ph = phase("02_inline");
-        out.inlineStats = inlineHotCalls(prog, run0.profile);
+        out.inlineStats = inlineHotCalls(prog);
         verifyOrDie(prog);
-        checkStage(prog, opts, out.goldenChecksum, "inline");
+        verifier.check(prog, "inline");
         ph.finishOps(prog.sizeOps());
     }
 
@@ -95,7 +81,7 @@ compileProgram(const Program &input, const CompileOptions &opts,
         out.reassocStats = reassociate(prog);
         optimizeProgram(prog);
         verifyOrDie(prog);
-        checkStage(prog, opts, out.goldenChecksum, "classic-opts");
+        verifier.check(prog, "classic-opts");
         ph.finishOps(prog.sizeOps());
     }
 
@@ -105,7 +91,7 @@ compileProgram(const Program &input, const CompileOptions &opts,
             auto ph = phase("04_peel");
             out.peelStats = peelLoops(prog, {}, &out.loopLog);
             verifyOrDie(prog);
-            checkStage(prog, opts, out.goldenChecksum, "peel");
+            verifier.check(prog, "peel");
             ph.finishOps(prog.sizeOps());
         }
 
@@ -116,7 +102,7 @@ compileProgram(const Program &input, const CompileOptions &opts,
             auto ph = phase("05_if_convert");
             out.ifConvertStats = ifConvertLoops(prog, {}, &out.loopLog);
             verifyOrDie(prog, hyperOk);
-            checkStage(prog, opts, out.goldenChecksum, "if-convert");
+            verifier.check(prog, "if-convert");
             ph.finishOps(prog.sizeOps());
         }
 
@@ -124,7 +110,7 @@ compileProgram(const Program &input, const CompileOptions &opts,
             auto ph = phase("06_collapse");
             out.collapseStats = collapseLoops(prog, {}, &out.loopLog);
             verifyOrDie(prog, hyperOk);
-            checkStage(prog, opts, out.goldenChecksum, "collapse");
+            verifier.check(prog, "collapse");
             ph.finishOps(prog.sizeOps());
         }
 
@@ -137,7 +123,7 @@ compileProgram(const Program &input, const CompileOptions &opts,
             out.ifConvertStats.predDefsInserted += s2.predDefsInserted;
             out.ifConvertStats.sideExits += s2.sideExits;
             verifyOrDie(prog, hyperOk);
-            checkStage(prog, opts, out.goldenChecksum, "if-convert-2");
+            verifier.check(prog, "if-convert-2");
             ph.finishOps(prog.sizeOps());
         }
 
@@ -146,8 +132,7 @@ compileProgram(const Program &input, const CompileOptions &opts,
             out.branchCombineStats =
                 combineBranches(prog, {}, &out.loopLog);
             verifyOrDie(prog, hyperOk);
-            checkStage(prog, opts, out.goldenChecksum,
-                       "branch-combine");
+            verifier.check(prog, "branch-combine");
             ph.finishOps(prog.sizeOps());
         }
 
@@ -155,7 +140,7 @@ compileProgram(const Program &input, const CompileOptions &opts,
             auto ph = phase("09_promote");
             out.promoteStats = promoteOperations(prog);
             verifyOrDie(prog, hyperOk);
-            checkStage(prog, opts, out.goldenChecksum, "promote");
+            verifier.check(prog, "promote");
             ph.finishOps(prog.sizeOps());
         }
 
@@ -170,8 +155,7 @@ compileProgram(const Program &input, const CompileOptions &opts,
             }
             optimizeProgram(prog);
             verifyOrDie(prog, hyperOk);
-            checkStage(prog, opts, out.goldenChecksum,
-                       "classic-opts-2");
+            verifier.check(prog, "classic-opts-2");
             ph.finishOps(prog.sizeOps());
         }
     }
@@ -186,18 +170,18 @@ compileProgram(const Program &input, const CompileOptions &opts,
                 opts.level == OptLevel::Aggressive;
             verifyOrDie(prog, v);
         }
-        checkStage(prog, opts, out.goldenChecksum, "counted-loop");
         ph.finishOps(prog.sizeOps());
     }
 
-    // 6. Refresh the profile (weights drive buffer allocation).
+    // 6. Refresh the profile (weights drive buffer allocation). Its
+    //    checksum is the counted-loop stage's check.
     {
         auto ph = phase("12_reprofile");
-        auto run1 = profileProgram(prog, opts.profileArgs);
-        LBP_ASSERT(run1.result.checksum == out.goldenChecksum,
-                   "final profile checksum mismatch");
-        out.transformedChecksum = run1.result.checksum;
+        out.transformedChecksum =
+            verifier.reprofile(prog, "counted-loop").checksum;
     }
+    if (reg)
+        verifier.publish(*reg);
     out.finalOps = prog.sizeOps();
 
     // 6b. Classify every natural loop that survived the transforms.

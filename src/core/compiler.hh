@@ -14,7 +14,7 @@
  * (classic optimization only — no predication, no nested-loop
  * transformations) and `Aggressive` (the full hyperblock stack).
  * Every stage is checked: the transformed IR must reproduce the
- * original program's interpreter checksum.
+ * original program's interpreter checksum (core/stage_verifier.hh).
  */
 
 #ifndef LBP_CORE_COMPILER_HH
@@ -28,7 +28,6 @@
 #include "core/slot_predication.hh"
 #include "mach/machine.hh"
 #include "obs/loop_report.hh"
-#include "profile/profile.hh"
 #include "sched/schedule.hh"
 #include "transform/branch_combine.hh"
 #include "transform/counted_loop.hh"
@@ -75,13 +74,14 @@ struct CompileOptions
      * register file.
      */
     int predQueueDepth = 0;
-    bool verifyStages = true;   ///< re-interpret after transforms
+    bool verifyStages = true;   ///< re-interpret changed stages
     std::vector<std::int64_t> profileArgs;
 
     /**
      * Optional pipeline profiling: when set, every stage publishes a
      * scoped wall-clock timing ("compile.phase.<NN_stage>.ms") and
-     * its static op-count delta into this registry. Null (the
+     * its static op-count delta into this registry, and stage
+     * verification its counters ("compile.verify.*"). Null (the
      * default) keeps the pipeline observability-free.
      */
     obs::Registry *obsRegistry = nullptr;
@@ -132,7 +132,7 @@ struct CompileResult
 
 /**
  * Run the pipeline. Throws (fatal) on a stage checksum mismatch when
- * verifyStages is set.
+ * verifyStages is set, and on a final-profile mismatch regardless.
  */
 void compileProgram(const Program &input, const CompileOptions &opts,
                     CompileResult &out);

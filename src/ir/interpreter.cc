@@ -1,6 +1,7 @@
 #include "ir/interpreter.hh"
 
 #include <algorithm>
+#include <limits>
 
 #include "support/logging.hh"
 
@@ -32,6 +33,43 @@ asBits(double d)
     std::int64_t v;
     __builtin_memcpy(&v, &d, sizeof(v));
     return v;
+}
+
+// Two's-complement integer semantics with defined overflow; see
+// ir/alu_ops.hh for the contract the fast executors share.
+std::int64_t
+wrapAdd(std::int64_t a, std::int64_t b)
+{
+    return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) +
+                                     static_cast<std::uint64_t>(b));
+}
+
+std::int64_t
+wrapSub(std::int64_t a, std::int64_t b)
+{
+    return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) -
+                                     static_cast<std::uint64_t>(b));
+}
+
+std::int64_t
+wrapMul(std::int64_t a, std::int64_t b)
+{
+    return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) *
+                                     static_cast<std::uint64_t>(b));
+}
+
+std::int64_t
+wrapAbs(std::int64_t v)
+{
+    return v < 0 ? wrapSub(0, v) : v;
+}
+
+std::int64_t
+ftoi(double d)
+{
+    return d >= -0x1p63 && d < 0x1p63
+               ? static_cast<std::int64_t>(d)
+               : std::numeric_limits<std::int64_t>::min();
 }
 
 } // namespace
@@ -147,15 +185,15 @@ Interpreter::evalAlu(const Operation &op, std::int64_t a,
                      std::int64_t b) const
 {
     switch (op.op) {
-      case Opcode::ADD: return a + b;
-      case Opcode::SUB: return a - b;
-      case Opcode::MUL: return a * b;
+      case Opcode::ADD: return wrapAdd(a, b);
+      case Opcode::SUB: return wrapSub(a, b);
+      case Opcode::MUL: return wrapMul(a, b);
       case Opcode::DIV:
         LBP_ASSERT(b != 0, "division by zero");
-        return a / b;
+        return b == -1 ? wrapSub(0, a) : a / b;
       case Opcode::REM:
         LBP_ASSERT(b != 0, "remainder by zero");
-        return a % b;
+        return b == -1 ? 0 : a % b;
       case Opcode::AND: return a & b;
       case Opcode::OR: return a | b;
       case Opcode::XOR: return a ^ b;
@@ -166,8 +204,8 @@ Interpreter::evalAlu(const Operation &op, std::int64_t a,
       case Opcode::SHRA: return a >> (b & 63);
       case Opcode::MIN: return std::min(a, b);
       case Opcode::MAX: return std::max(a, b);
-      case Opcode::SATADD: return sat16(a + b);
-      case Opcode::SATSUB: return sat16(a - b);
+      case Opcode::SATADD: return sat16(wrapAdd(a, b));
+      case Opcode::SATSUB: return sat16(wrapSub(a, b));
       case Opcode::CMP:
         return evalCond(op.cond, a, b) ? 1 : 0;
       case Opcode::FADD: return asBits(asDouble(a) + asDouble(b));
@@ -254,11 +292,8 @@ Interpreter::callFunction(const Function &fn,
         const bool pass = guardPasses(fr, op);
         if (!pass && op.op != Opcode::PRED_DEF) {
             ++res_.dynNullified;
-            if (op.isBranchOp()) {
+            if (op.isBranchOp())
                 ++res_.dynBranches;
-                if (sink_)
-                    sink_->onBranch(fn.id, cur, op.id, false);
-            }
             ++idx;
             continue;
         }
@@ -273,7 +308,7 @@ Interpreter::callFunction(const Function &fn,
             fr.regs[op.dsts[0].asReg()] =
                 op.op == Opcode::MOV
                     ? readOperand(fr, op.srcs[0])
-                    : std::abs(readOperand(fr, op.srcs[0]));
+                    : wrapAbs(readOperand(fr, op.srcs[0]));
             ++idx;
             break;
 
@@ -284,8 +319,8 @@ Interpreter::callFunction(const Function &fn,
             break;
 
           case Opcode::FTOI:
-            fr.regs[op.dsts[0].asReg()] = static_cast<std::int64_t>(
-                asDouble(readOperand(fr, op.srcs[0])));
+            fr.regs[op.dsts[0].asReg()] =
+                ftoi(asDouble(readOperand(fr, op.srcs[0])));
             ++idx;
             break;
 
@@ -341,8 +376,6 @@ Interpreter::callFunction(const Function &fn,
             const bool taken = evalCond(op.cond, a, b);
             if (taken)
                 ++res_.dynTaken;
-            if (sink_)
-                sink_->onBranch(fn.id, cur, op.id, taken);
             if (op.op == Opcode::BR_WLOOP && !taken &&
                 !loopStack.empty() && !loopStack.back().counted) {
                 // While-loop exit: retire the hardware loop context.
@@ -373,8 +406,6 @@ Interpreter::callFunction(const Function &fn,
           case Opcode::JUMP:
             ++res_.dynBranches;
             ++res_.dynTaken;
-            if (sink_)
-                sink_->onBranch(fn.id, cur, op.id, true);
             while (!loopStack.empty() &&
                    loopStack.back().head == cur &&
                    op.target != loopStack.back().head) {
@@ -394,8 +425,6 @@ Interpreter::callFunction(const Function &fn,
             const bool taken = le.remaining > 0;
             if (taken)
                 ++res_.dynTaken;
-            if (sink_)
-                sink_->onBranch(fn.id, cur, op.id, taken);
             if (taken) {
                 cur = op.target;
                 idx = 0;

@@ -6,12 +6,10 @@
  * semantics (Table 2 of the paper), hardware-loop-count semantics for
  * the REC_/EXEC_[CW]LOOP + BR_[CW]LOOP families, and a call stack.
  *
- * Used for three things:
- *  - golden checksums: every compilation configuration must reproduce
- *    the interpreter's result;
- *  - profiling: block execution counts and branch statistics feed the
- *    profile-guided transformations;
- *  - transformation equivalence tests.
+ * This is the reference oracle: golden checksums and transformation
+ * equivalence tests run on it. The compiler's profile runs and stage
+ * verification use the decoded interpreter (ir/decoded_interpreter.hh),
+ * which is differentially tested against this one.
  */
 
 #ifndef LBP_IR_INTERPRETER_HH
@@ -48,7 +46,7 @@ struct ExecResult
     std::uint64_t dynBlocks = 0;
 };
 
-/** Optional profile collection during interpretation. */
+/** Optional block-entry observer (tests compare block counts). */
 class ProfileSink
 {
   public:
@@ -56,12 +54,6 @@ class ProfileSink
 
     /** Block @p b of function @p f entered. */
     virtual void onBlock(FuncId f, BlockId b) = 0;
-
-    /**
-     * Branch op @p opId in (f, b) executed; @p taken tells the
-     * resolved direction (nullified branches report not-taken).
-     */
-    virtual void onBranch(FuncId f, BlockId b, OpId opId, bool taken) = 0;
 };
 
 /** Interpreter over a Program. */

@@ -18,8 +18,8 @@
 
 #include <algorithm>
 
+#include "ir/alu_ops.hh"
 #include "obs/prof.hh"
-#include "sim/alu_ops.hh"
 #include "sim/dispatch.hh"
 #include "sim/vliw_sim.hh"
 #include "support/logging.hh"
@@ -580,8 +580,7 @@ VliwSim::replayResident(LoopCtx &ctx, const DecodedFunction &df,
                     LBP_NEXT_OP;
                   }
                   LBP_HANDLER(ABS) {
-                    const std::int64_t v =
-                        std::abs(readSrc(m->src[0]));
+                    const std::int64_t v = wrapAbs(readSrc(m->src[0]));
                     if (direct)
                         regs[m->dstReg] = v;
                     else
@@ -599,8 +598,7 @@ VliwSim::replayResident(LoopCtx &ctx, const DecodedFunction &df,
                   }
                   LBP_HANDLER(FTOI) {
                     const std::int64_t v =
-                        static_cast<std::int64_t>(
-                            asDouble(readSrc(m->src[0])));
+                        ftoi(asDouble(readSrc(m->src[0])));
                     if (direct)
                         regs[m->dstReg] = v;
                     else

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <limits>
 
 #include "ir/interpreter.hh"
 #include "obs/prof.hh"
@@ -53,6 +54,43 @@ asBits(double d)
     std::int64_t v;
     __builtin_memcpy(&v, &d, sizeof(v));
     return v;
+}
+
+// Two's-complement integer semantics with defined overflow; see
+// ir/alu_ops.hh for the contract the fast engines share.
+std::int64_t
+wrapAdd(std::int64_t a, std::int64_t b)
+{
+    return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) +
+                                     static_cast<std::uint64_t>(b));
+}
+
+std::int64_t
+wrapSub(std::int64_t a, std::int64_t b)
+{
+    return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) -
+                                     static_cast<std::uint64_t>(b));
+}
+
+std::int64_t
+wrapMul(std::int64_t a, std::int64_t b)
+{
+    return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) *
+                                     static_cast<std::uint64_t>(b));
+}
+
+std::int64_t
+wrapAbs(std::int64_t v)
+{
+    return v < 0 ? wrapSub(0, v) : v;
+}
+
+std::int64_t
+ftoi(double d)
+{
+    return d >= -0x1p63 && d < 0x1p63
+               ? static_cast<std::int64_t>(d)
+               : std::numeric_limits<std::int64_t>::min();
 }
 
 } // namespace
@@ -449,7 +487,7 @@ VliwSim::callFunction(FuncId f, const std::vector<std::int64_t> &args)
               case Opcode::ABS:
                 regWrites.push_back(
                     {op.dsts[0].asReg(),
-                     std::abs(readOperand(fr, op.srcs[0]))});
+                     wrapAbs(readOperand(fr, op.srcs[0]))});
                 break;
               case Opcode::ITOF:
                 regWrites.push_back(
@@ -460,8 +498,7 @@ VliwSim::callFunction(FuncId f, const std::vector<std::int64_t> &args)
               case Opcode::FTOI:
                 regWrites.push_back(
                     {op.dsts[0].asReg(),
-                     static_cast<std::int64_t>(
-                         asDouble(readOperand(fr, op.srcs[0])))});
+                     ftoi(asDouble(readOperand(fr, op.srcs[0])))});
                 break;
               case Opcode::SELECT: {
                 const std::int64_t c = readOperand(fr, op.srcs[0]);
@@ -666,16 +703,16 @@ VliwSim::callFunction(FuncId f, const std::vector<std::int64_t> &args)
                 const std::int64_t b = readOperand(fr, op.srcs[1]);
                 std::int64_t v = 0;
                 switch (op.op) {
-                  case Opcode::ADD: v = a + b; break;
-                  case Opcode::SUB: v = a - b; break;
-                  case Opcode::MUL: v = a * b; break;
+                  case Opcode::ADD: v = wrapAdd(a, b); break;
+                  case Opcode::SUB: v = wrapSub(a, b); break;
+                  case Opcode::MUL: v = wrapMul(a, b); break;
                   case Opcode::DIV:
                     LBP_ASSERT(b != 0, "div by zero");
-                    v = a / b;
+                    v = b == -1 ? wrapSub(0, a) : a / b;
                     break;
                   case Opcode::REM:
                     LBP_ASSERT(b != 0, "rem by zero");
-                    v = a % b;
+                    v = b == -1 ? 0 : a % b;
                     break;
                   case Opcode::AND: v = a & b; break;
                   case Opcode::OR: v = a | b; break;
@@ -688,8 +725,8 @@ VliwSim::callFunction(FuncId f, const std::vector<std::int64_t> &args)
                   case Opcode::SHRA: v = a >> (b & 63); break;
                   case Opcode::MIN: v = std::min(a, b); break;
                   case Opcode::MAX: v = std::max(a, b); break;
-                  case Opcode::SATADD: v = sat16(a + b); break;
-                  case Opcode::SATSUB: v = sat16(a - b); break;
+                  case Opcode::SATADD: v = sat16(wrapAdd(a, b)); break;
+                  case Opcode::SATSUB: v = sat16(wrapSub(a, b)); break;
                   case Opcode::CMP:
                     v = evalCond(op.cond, a, b) ? 1 : 0;
                     break;

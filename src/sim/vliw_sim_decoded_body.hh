@@ -30,11 +30,9 @@
 #ifndef LBP_SIM_VLIW_SIM_DECODED_BODY_HH
 #define LBP_SIM_VLIW_SIM_DECODED_BODY_HH
 
-#include <cstdlib>
-
+#include "ir/alu_ops.hh"
 #include "obs/prof.hh"
 #include "obs/trace.hh"
-#include "sim/alu_ops.hh"
 #include "sim/decoded.hh"
 #include "sim/dispatch.hh"
 #include "sim/trace_cache.hh"
@@ -443,8 +441,7 @@ VliwSim::callFunctionDecodedImpl(FuncId f,
                 LBP_NEXT_OP;
               }
               LBP_HANDLER(ABS) {
-                regW[nRegW++] = {m->dstReg,
-                                 std::abs(readSrc(m->src[0]))};
+                regW[nRegW++] = {m->dstReg, wrapAbs(readSrc(m->src[0]))};
                 LBP_NEXT_OP;
               }
               LBP_HANDLER(ITOF) {
@@ -455,8 +452,7 @@ VliwSim::callFunctionDecodedImpl(FuncId f,
               }
               LBP_HANDLER(FTOI) {
                 regW[nRegW++] = {m->dstReg,
-                                 static_cast<std::int64_t>(
-                                     asDouble(readSrc(m->src[0])))};
+                                 ftoi(asDouble(readSrc(m->src[0])))};
                 LBP_NEXT_OP;
               }
               LBP_HANDLER(SELECT) {

@@ -5,6 +5,7 @@
 #include <set>
 
 #include "analysis/liveness.hh"
+#include "ir/alu_ops.hh"
 #include "ir/interpreter.hh"
 #include "support/logging.hh"
 
@@ -51,33 +52,10 @@ foldOp(Operation &op, int &folded)
 
     const std::int64_t a = op.srcs[0].value;
     const std::int64_t b = op.srcs[1].value;
-    std::int64_t v = 0;
-    switch (op.op) {
-      case Opcode::ADD: v = a + b; break;
-      case Opcode::SUB: v = a - b; break;
-      case Opcode::MUL: v = a * b; break;
-      case Opcode::DIV: v = a / b; break;
-      case Opcode::REM: v = a % b; break;
-      case Opcode::AND: v = a & b; break;
-      case Opcode::OR: v = a | b; break;
-      case Opcode::XOR: v = a ^ b; break;
-      case Opcode::SHL: v = a << (b & 63); break;
-      case Opcode::SHR:
-        v = static_cast<std::int64_t>(static_cast<std::uint64_t>(a) >>
-                                      (b & 63));
-        break;
-      case Opcode::SHRA: v = a >> (b & 63); break;
-      case Opcode::MIN: v = std::min(a, b); break;
-      case Opcode::MAX: v = std::max(a, b); break;
-      case Opcode::SATADD:
-        v = std::clamp<std::int64_t>(a + b, -32768, 32767);
-        break;
-      case Opcode::SATSUB:
-        v = std::clamp<std::int64_t>(a - b, -32768, 32767);
-        break;
-      case Opcode::CMP: v = evalCond(op.cond, a, b) ? 1 : 0; break;
-      default: return false;
-    }
+    // The executors' own semantics (two's complement, defined
+    // overflow), so a folded op computes what it would have at run
+    // time.
+    const std::int64_t v = evalBinaryAlu(op.op, op.cond, a, b);
     const RegId dst = op.dsts[0].asReg();
     const PredId guard = op.guard;
     const OpId id = op.id;

@@ -10,7 +10,6 @@
 #define LBP_TRANSFORM_INLINER_HH
 
 #include "ir/program.hh"
-#include "profile/profile.hh"
 
 namespace lbp
 {
@@ -35,10 +34,10 @@ struct InlineStats
 
 /**
  * Inline hot call sites program-wide, hottest first, respecting the
- * expansion budget. Returns statistics.
+ * expansion budget. Call-site heat is the block weight annotated by
+ * profileProgram (ir/decoded_interpreter.hh). Returns statistics.
  */
-InlineStats inlineHotCalls(Program &prog, const Profile &profile,
-                           const InlineOptions &opts = {});
+InlineStats inlineHotCalls(Program &prog, const InlineOptions &opts = {});
 
 /**
  * Inline a specific call site: the call at index @p opIdx of block

@@ -7,15 +7,17 @@
  * several buffer sizes; every configuration must reproduce the
  * reference interpreter's checksum and return values, and the decoded
  * engine — trace cache forced on and off — must match the reference
- * sim engine on every SimStats field. This is the fuzzing backstop
- * behind the hand-written per-pass tests.
+ * sim engine on every SimStats field. The decoded IR interpreter must
+ * match the tree-walker on every ExecResult field and block count, on
+ * the generated input and on each compiled program's final IR. This
+ * is the fuzzing backstop behind the hand-written per-pass tests.
  */
 
 #include <gtest/gtest.h>
 
 #include "core/compiler.hh"
+#include "interp_check.hh"
 #include "ir/builder.hh"
-#include "ir/interpreter.hh"
 #include "obs/publish.hh"
 #include "sim/vliw_sim.hh"
 #include "support/random.hh"
@@ -201,8 +203,8 @@ TEST_P(DifferentialTest, AllConfigsMatchInterpreter)
     ProgramGen gen(0xfeed0000ull + GetParam());
     Program prog = gen.generate();
 
-    Interpreter interp(prog);
-    const auto golden = interp.run();
+    const std::string seed = "seed " + std::to_string(GetParam());
+    const auto golden = runBothInterpreters(prog, {}, seed + " input");
 
     for (int cfg = 0; cfg < 3; ++cfg) {
         CompileOptions opts;
@@ -218,6 +220,9 @@ TEST_P(DifferentialTest, AllConfigsMatchInterpreter)
         ASSERT_NO_THROW(compileProgram(prog, opts, cr))
             << "seed " << GetParam();
         EXPECT_EQ(cr.goldenChecksum, golden.checksum);
+        runBothInterpreters(cr.ir, {},
+                            seed + " cfg " + std::to_string(cfg) +
+                                " out.ir");
         for (int size : {24, 256}) {
             reallocateBuffers(cr, size);
             const std::string what =

@@ -5,7 +5,8 @@
  * predication x several buffer sizes), reproduces the interpreter's
  * golden checksum on the VLIW simulator, and the headline orderings
  * of the paper hold (aggressive buffers more, runs faster; buffer
- * issue is monotone in buffer size).
+ * issue is monotone in buffer size). The decoded IR interpreter
+ * matches the tree-walker on every workload's input and compiled IR.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include <cmath>
 
 #include "core/compiler.hh"
+#include "interp_check.hh"
 #include "sim/vliw_sim.hh"
 #include "workloads/registry.hh"
 
@@ -28,6 +30,7 @@ class EndToEnd : public ::testing::TestWithParam<std::string>
 TEST_P(EndToEnd, AllConfigsReproduceGolden)
 {
     Program prog = workloads::buildWorkload(GetParam());
+    runBothInterpreters(prog, {}, GetParam() + " input");
 
     // Slot lowering and REGISTER-mode simulation are incompatible by
     // design (slot-routed defines bypass the predicate register
@@ -40,6 +43,8 @@ TEST_P(EndToEnd, AllConfigsReproduceGolden)
             opts.slotLowering = mode == PredMode::SLOT;
             CompileResult cr;
             compileProgram(prog, opts, cr);
+            if (mode == PredMode::SLOT)
+                runBothInterpreters(cr.ir, {}, GetParam() + " out.ir");
             for (int size : {32, 256, 2048}) {
                 reallocateBuffers(cr, size);
                 SimConfig sc;

@@ -9,7 +9,7 @@
 #include "ir/builder.hh"
 #include "ir/interpreter.hh"
 #include "ir/verifier.hh"
-#include "profile/profile.hh"
+#include "ir/decoded_interpreter.hh"
 #include "transform/inliner.hh"
 
 namespace lbp
@@ -55,8 +55,8 @@ TEST(Inliner, SingleSiteSemanticsPreserved)
     Interpreter pre(prog);
     const auto before = pre.run();
 
-    auto run = profileProgram(prog);
-    auto st = inlineHotCalls(prog, run.profile);
+    profileProgram(prog);
+    auto st = inlineHotCalls(prog);
     EXPECT_EQ(st.sitesInlined, 1);
     verifyOrDie(prog);
 
@@ -110,18 +110,18 @@ TEST(Inliner, NoInlineRespected)
 {
     Program prog = makeCallerCallee(0);
     prog.functions[0].noInline = true;
-    auto run = profileProgram(prog);
-    auto st = inlineHotCalls(prog, run.profile);
+    profileProgram(prog);
+    auto st = inlineHotCalls(prog);
     EXPECT_EQ(st.sitesInlined, 0);
 }
 
 TEST(Inliner, BudgetEnforced)
 {
     Program prog = makeCallerCallee(100);
-    auto run = profileProgram(prog);
+    profileProgram(prog);
     InlineOptions opts;
     opts.maxExpansion = 0.1; // ~12 ops budget < 100-op callee
-    auto st = inlineHotCalls(prog, run.profile, opts);
+    auto st = inlineHotCalls(prog, opts);
     EXPECT_EQ(st.sitesInlined, 0);
 }
 
@@ -159,10 +159,10 @@ TEST(Inliner, HotterSiteWins)
 
     Interpreter pre(prog);
     const auto before = pre.run();
-    auto run = profileProgram(prog);
+    profileProgram(prog);
     InlineOptions opts;
     opts.maxExpansion = 0.35; // admits one ~14-op callee only
-    auto st = inlineHotCalls(prog, run.profile, opts);
+    auto st = inlineHotCalls(prog, opts);
     EXPECT_EQ(st.sitesInlined, 1);
     // The hot callee must be gone from the hot loop.
     int calls0 = 0, calls1 = 0;
@@ -209,8 +209,8 @@ TEST(Inliner, MultipleReturnsHandled)
     b.ret({R(total)});
     Interpreter pre(prog);
     const auto before = pre.run();
-    auto run = profileProgram(prog);
-    inlineHotCalls(prog, run.profile);
+    profileProgram(prog);
+    inlineHotCalls(prog);
     verifyOrDie(prog);
     Interpreter post(prog);
     EXPECT_EQ(post.run().returns, before.returns);

@@ -1,14 +1,21 @@
 /**
  * @file
- * Interpreter tests: ALU semantics, memory, guards, the full Table-2
- * predicate-define truth table (exhaustive and parameterized),
- * hardware-loop contexts, calls, and speculative load semantics.
+ * Interpreter tests: ALU semantics (including two's-complement
+ * overflow), memory, guards, the full Table-2 predicate-define truth
+ * table (exhaustive and parameterized), hardware-loop contexts, calls,
+ * and speculative load semantics. Every case runs on both the
+ * tree-walking reference and the decoded interpreter, which must
+ * agree on every result field.
  */
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
+
+#include "interp_check.hh"
 #include "ir/builder.hh"
-#include "ir/interpreter.hh"
 
 namespace lbp
 {
@@ -19,8 +26,7 @@ namespace
 std::int64_t
 runReturn(Program &prog)
 {
-    Interpreter interp(prog);
-    auto r = interp.run();
+    const auto r = runBothInterpreters(prog);
     EXPECT_FALSE(r.returns.empty());
     return r.returns.empty() ? 0 : r.returns[0];
 }
@@ -86,8 +92,7 @@ TEST(Interp, GuardNullifies)
     guarded.guard = p;
     b.emit(guarded);
     b.ret({Operand::reg(x)});
-    Interpreter interp(prog);
-    auto r = interp.run();
+    const auto r = runBothInterpreters(prog);
     EXPECT_EQ(r.returns[0], 10);
     EXPECT_EQ(r.dynNullified, 1u);
 }
@@ -150,8 +155,7 @@ TEST_P(Table2Test, Semantics)
 
     // ret two observations.
     b.ret({Operand::reg(after1), Operand::reg(after0)});
-    Interpreter interp(prog);
-    auto r = interp.run();
+    const auto r = runBothInterpreters(prog);
     ASSERT_EQ(r.returns.size(), 2u);
     if (tc.expect < 0) {
         // No update: both sentinels survive.
@@ -332,14 +336,12 @@ TEST(Interp, ChecksumCoversOutputRegion)
     const RegId p = b.iconst(base);
     b.storeW(Operand::reg(p), Operand::imm(0), Operand::imm(77));
     b.ret({});
-    Interpreter interp(prog);
-    const auto r1 = interp.run();
+    const auto r1 = runBothInterpreters(prog);
     // Different stored value => different checksum.
     Program prog2 = prog;
     prog2.functions[f].blocks[prog2.functions[f].entry]
         .ops[1].srcs[2] = Operand::imm(78);
-    Interpreter interp2(prog2);
-    const auto r2 = interp2.run();
+    const auto r2 = runBothInterpreters(prog2);
     EXPECT_NE(r1.checksum, r2.checksum);
 }
 
@@ -359,6 +361,144 @@ TEST(Interp, OpBudgetGuard)
     Interpreter interp(prog);
     interp.setMaxOps(1000);
     EXPECT_DEATH(interp.run(), "budget");
+    DecodedInterpreter decoded(prog);
+    decoded.setMaxOps(1000);
+    EXPECT_DEATH(decoded.run(), "budget");
+}
+
+TEST(Interp, OverflowWrapsTwosComplement)
+{
+    // Operands arrive as arguments so nothing folds them.
+    constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+    constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+    Program prog;
+    const auto out = prog.allocData(8);
+    prog.checksumBase = out;
+    prog.checksumSize = 8;
+    const FuncId f = prog.newFunction("main");
+    prog.entryFunc = f;
+    Function &fn = prog.functions[f];
+    const RegId lo = fn.newReg(), hi = fn.newReg(), m1 = fn.newReg();
+    const RegId nan = fn.newReg(), big = fn.newReg();
+    fn.params = {lo, hi, m1, nan, big};
+    IRBuilder b(prog, f);
+    auto R = [](RegId r) { return Operand::reg(r); };
+    auto ftoi = [&](RegId a) {
+        const RegId d = fn.newReg();
+        b.emit(makeUnary(Opcode::FTOI, d, R(a)));
+        return d;
+    };
+    std::vector<Operand> rets;
+    auto keep = [&](RegId r) { rets.push_back(R(r)); };
+    keep(b.div(R(lo), R(m1)));
+    keep(b.rem(R(lo), R(m1)));
+    keep(b.abs(R(lo)));
+    keep(b.add(R(hi), Operand::imm(1)));
+    keep(b.sub(R(lo), Operand::imm(1)));
+    keep(b.mul(R(hi), Operand::imm(2)));
+    keep(b.satadd(R(hi), R(hi)));
+    keep(b.satsub(R(lo), R(hi)));
+    keep(ftoi(nan));
+    keep(ftoi(big));
+    b.storeW(Operand::imm(out), Operand::imm(0), rets[0]);
+    b.ret(rets);
+
+    auto bits = [](double d) {
+        std::int64_t v;
+        std::memcpy(&v, &d, sizeof(v));
+        return v;
+    };
+    const auto r = runBothInterpreters(
+        prog, {kMin, kMax, -1, bits(std::nan("")), bits(1e300)});
+    const std::vector<std::int64_t> expect = {
+        kMin, 0, kMin, kMin, kMax, -2,
+        // SATADD/SATSUB saturate the wrapped sum: kMax + kMax = -2,
+        // kMin - kMax = 1.
+        -2, 1, kMin, kMin};
+    EXPECT_EQ(r.returns, expect);
+}
+
+/** Both interpreters must die on @p prog with a message matching @p re. */
+void
+expectBothDie(const Program &prog, const char *re)
+{
+    Interpreter interp(prog);
+    EXPECT_DEATH(interp.run(), re);
+    DecodedInterpreter decoded(prog);
+    EXPECT_DEATH(decoded.run(), re);
+}
+
+TEST(Interp, OutOfBoundsAccessFaults)
+{
+    for (bool store : {false, true}) {
+        Program prog;
+        prog.allocData(8);
+        const FuncId f = prog.newFunction("main");
+        prog.entryFunc = f;
+        IRBuilder b(prog, f);
+        if (store)
+            b.storeW(Operand::imm(6), Operand::imm(0), Operand::imm(1));
+        else
+            b.loadW(Operand::imm(6), Operand::imm(0));
+        b.ret({});
+        expectBothDie(prog, "out of bounds");
+    }
+}
+
+TEST(Interp, BadLoopCountFaults)
+{
+    Program prog;
+    const FuncId f = prog.newFunction("main");
+    prog.entryFunc = f;
+    IRBuilder b(prog, f);
+    const BlockId body = b.makeBlock("body");
+    Operation rec;
+    rec.op = Opcode::REC_CLOOP;
+    rec.srcs = {Operand::imm(0)};
+    rec.target = body;
+    b.emit(std::move(rec));
+    b.fallTo(body);
+    b.at(body);
+    Operation back;
+    back.op = Opcode::BR_CLOOP;
+    back.target = body;
+    b.emit(std::move(back));
+    const BlockId after = b.makeBlock();
+    b.fallTo(after);
+    b.at(after);
+    b.ret({});
+    expectBothDie(prog, "rec_cloop with count 0");
+}
+
+TEST(Interp, CallDepthFaults)
+{
+    Program prog;
+    const FuncId f = prog.newFunction("main");
+    prog.entryFunc = f;
+    IRBuilder b(prog, f);
+    b.call(f, {}, 0);
+    b.ret({});
+    expectBothDie(prog, "call stack overflow");
+}
+
+TEST(Interp, DivisionByZeroFaults)
+{
+    for (Opcode op : {Opcode::DIV, Opcode::REM}) {
+        Program prog;
+        const FuncId f = prog.newFunction("main");
+        prog.entryFunc = f;
+        Function &fn = prog.functions[f];
+        const RegId x = fn.newReg(), z = fn.newReg();
+        fn.params = {x, z};
+        IRBuilder b(prog, f);
+        const RegId q = fn.newReg();
+        b.emit(makeBinary(op, q, Operand::reg(x), Operand::reg(z)));
+        b.ret({Operand::reg(q)});
+        Interpreter interp(prog);
+        EXPECT_DEATH(interp.run({7, 0}), "by zero");
+        DecodedInterpreter decoded(prog);
+        EXPECT_DEATH(decoded.run({7, 0}), "by zero");
+    }
 }
 
 } // namespace

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
+
 #include "core/compiler.hh"
 #include "ir/interpreter.hh"
 #include "ir/builder.hh"
@@ -278,6 +281,51 @@ TEST(Sim, CallReturnRoundTrip)
     const auto st = sim.run();
     EXPECT_EQ(st.returns[0], 42);
     EXPECT_EQ(st.checksum, cr.goldenChecksum);
+}
+
+TEST(Sim, OverflowWrapsOnBothEngines)
+{
+    // Operands arrive as arguments so the compiler cannot fold them.
+    constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+    constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+    Program prog;
+    const auto data = prog.allocData(8);
+    prog.checksumBase = data;
+    prog.checksumSize = 8;
+    const FuncId f = prog.newFunction("main");
+    prog.entryFunc = f;
+    Function &fn = prog.functions[f];
+    const RegId lo = fn.newReg(), hi = fn.newReg(), m1 = fn.newReg();
+    const RegId nan = fn.newReg();
+    fn.params = {lo, hi, m1, nan};
+    IRBuilder b(prog, f);
+    const RegId toInt = fn.newReg();
+    b.emit(makeUnary(Opcode::FTOI, toInt, R(nan)));
+    const std::vector<Operand> rets = {
+        R(b.div(R(lo), R(m1))),    R(b.rem(R(lo), R(m1))),
+        R(b.abs(R(lo))),           R(b.add(R(hi), I(1))),
+        R(b.sub(R(lo), I(1))),     R(b.mul(R(hi), I(2))),
+        R(b.satadd(R(hi), R(hi))), R(toInt)};
+    b.storeW(I(data), I(0), rets[0]);
+    b.ret(rets);
+
+    double qnan = std::numeric_limits<double>::quiet_NaN();
+    std::int64_t nanBits;
+    std::memcpy(&nanBits, &qnan, sizeof(nanBits));
+    const std::vector<std::int64_t> args = {kMin, kMax, -1, nanBits};
+    const std::vector<std::int64_t> expect = {kMin, 0,  kMin, kMin,
+                                              kMax, -2, -2,   kMin};
+    CompileOptions opts;
+    opts.profileArgs = args;
+    CompileResult cr;
+    compileProgram(prog, opts, cr);
+    for (SimEngine engine : {SimEngine::REFERENCE, SimEngine::DECODED}) {
+        SimConfig sc;
+        sc.engine = engine;
+        const auto st = VliwSim(cr.code, sc).run(args);
+        EXPECT_EQ(st.returns, expect);
+        EXPECT_EQ(st.checksum, cr.goldenChecksum);
+    }
 }
 
 TEST(Sim, TwoPhaseBundleCommit)
