@@ -13,11 +13,8 @@
 
 #include "obs/history.hh"
 #include "obs/loop_report.hh"
-#include "obs/prof.hh"
-#include "obs/trace.hh"
 #include "obs/version.hh"
 #include "sim/decoded.hh"
-#include "sim/dispatch.hh"
 #include "support/logging.hh"
 
 namespace lbp
@@ -91,11 +88,6 @@ startBenchPmu(const BenchOptions &o)
 {
     if (!o.pmu)
         return;
-    if (!obs::pmu::compiledIn()) {
-        std::fprintf(stderr, "--pmu: host counters compiled out "
-                             "(built with -DLBP_PMU=OFF)\n");
-        std::exit(1);
-    }
     std::string why;
     if (!obs::pmu::PmuSession::instance().start(&why))
         std::printf("host pmu unavailable: %s (continuing without "
@@ -272,19 +264,6 @@ benchJsonDoc(const std::string &benchName)
     machine.set("compiler", Json::str(__VERSION__));
     machine.set("pointer_bits", Json::integer(8 * sizeof(void *)));
     doc.set("machine", std::move(machine));
-
-    // Compiled-in code-path toggles. Unlike "machine" (identity,
-    // ignored by the history gate) these are config-class leaves,
-    // compared exactly: numbers from differently-configured builds
-    // must fail the gate loudly, never silently average into the
-    // same timeline.
-    Json build = Json::object();
-    build.set("threaded_dispatch",
-              Json::boolean(LBP_THREADED_DISPATCH != 0));
-    build.set("trace_hooks", Json::boolean(LBP_TRACE != 0));
-    build.set("prof", Json::boolean(LBP_PROF != 0));
-    build.set("pmu", Json::boolean(LBP_PMU != 0));
-    doc.set("build", std::move(build));
     return doc;
 }
 

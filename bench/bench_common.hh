@@ -66,12 +66,10 @@ bool parseBenchOptions(int argc, char **argv, unsigned mask,
                        BenchOptions &o);
 
 /**
- * Arm the host PMU session for a `--pmu` run (no-op otherwise).
- * Exits 1 when the flag asks for a backend that is compiled out
- * (mirrors --prof); a runtime open failure — restricted
- * perf_event_paranoid, no hardware PMU — prints the reason and
- * returns normally, so the run continues and the document records
- * available=false.
+ * Arm the host PMU session for a `--pmu` run (no-op otherwise). A
+ * runtime open failure — restricted perf_event_paranoid, no hardware
+ * PMU — prints the reason and returns normally, so the run continues
+ * and the document records available=false.
  */
 void startBenchPmu(const BenchOptions &o);
 

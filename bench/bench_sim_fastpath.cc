@@ -336,11 +336,6 @@ main(int argc, char **argv)
                                kBenchFlagPmu,
                            "BENCH_sim_fastpath.json", o))
         return 2;
-    if (o.prof && !obs::prof::compiledIn()) {
-        std::fprintf(stderr, "--prof: profiler compiled out "
-                             "(built with -DLBP_PROF=OFF)\n");
-        return 1;
-    }
     if (o.prof &&
         !obs::prof::Profiler::instance().start()) {
         std::fprintf(stderr, "--prof: cannot arm the sampling "

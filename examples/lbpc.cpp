@@ -21,6 +21,7 @@
 #include "core/compiler.hh"
 #include "ir/printer.hh"
 #include "ir/serialize.hh"
+#include "ir/verifier.hh"
 #include "sim/vliw_sim.hh"
 
 using namespace lbp;
@@ -77,6 +78,13 @@ main(int argc, char **argv)
 
     try {
         Program prog = parseText(text);
+        // Structurally invalid input is a user error, not a compiler
+        // bug: report it instead of letting compileProgram panic.
+        if (const auto errs = verify(prog); !errs.empty()) {
+            for (const auto &e : errs)
+                std::fprintf(stderr, "error: %s\n", e.c_str());
+            return 1;
+        }
         CompileResult cr;
         compileProgram(prog, opts, cr);
 

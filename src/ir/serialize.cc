@@ -349,8 +349,10 @@ parseText(const std::string &text)
         } else if (kw == "memory") {
             if (toks.size() != 2)
                 p.fail("memory <bytes>");
-            prog.memory.assign(
-                static_cast<size_t>(parseInt(p, toks[1])), 0);
+            const std::int64_t bytes = parseInt(p, toks[1]);
+            if (bytes < 0)
+                p.fail("negative memory size");
+            prog.memory.assign(static_cast<size_t>(bytes), 0);
         } else if (kw == "checksum") {
             if (toks.size() != 3)
                 p.fail("checksum <base> <size>");

@@ -201,6 +201,22 @@ verify(const Program &prog, const VerifyOptions &opts)
         prog.entryFunc >= prog.functions.size()) {
         errs.push_back(prog.name + ": no entry function");
     }
+    // The checksum region is hashed after every run; it must lie
+    // inside the memory image.
+    const std::uint64_t memBytes = prog.memory.size();
+    const auto base = static_cast<std::uint64_t>(prog.checksumBase);
+    const auto size = static_cast<std::uint64_t>(prog.checksumSize);
+    const bool inside =
+        prog.checksumSize == 0 ||
+        (prog.checksumSize > 0 && prog.checksumBase >= 0 &&
+         base <= memBytes && size <= memBytes - base);
+    if (!inside) {
+        errs.push_back(prog.name + ": checksum region (base " +
+                       std::to_string(prog.checksumBase) + ", size " +
+                       std::to_string(prog.checksumSize) +
+                       ") outside memory of " +
+                       std::to_string(memBytes) + " bytes");
+    }
     return errs;
 }
 

@@ -378,8 +378,8 @@ classifyKey(const std::string &key)
     if (seg == "threads" || seg == "description" || key == "bench")
         return KeyClass::Identity;
     // Host PMU readings vary per machine and per run; never gate
-    // them. The trailing dot matters: "build.pmu" (the config bool)
-    // must stay Exact, so only the "pmu." namespaces match — either
+    // them. The trailing dot matters: a key that merely ends in "pmu"
+    // stays Exact, so only the "pmu." namespaces match — either
     // as the key's own prefix (bench docs flatten plain dotted) or as
     // the unescaped metric name's prefix (registry dumps flatten each
     // metric to one escaped segment).

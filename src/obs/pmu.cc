@@ -10,11 +10,24 @@
 
 #include "obs/pmu.hh"
 
+#include <algorithm>
+#include <atomic>
+#include <cerrno>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
+#include <cstring>
+#include <map>
+#include <mutex>
 #include <ostream>
+#include <vector>
+
+#include <linux/perf_event.h>
+#include <sys/syscall.h>
+#include <unistd.h>
 
 #include "obs/json.hh"
+#include "obs/prof.hh"
 
 namespace lbp
 {
@@ -175,35 +188,6 @@ printSnapshotTable(std::ostream &os, const Snapshot &s)
                   100.0 * s.attributedCycleFraction());
     os << line;
 }
-
-} // namespace pmu
-} // namespace obs
-} // namespace lbp
-
-#if LBP_PMU
-
-#include <algorithm>
-#include <atomic>
-#include <cerrno>
-#include <cmath>
-#include <cstdio>
-#include <cstring>
-#include <map>
-#include <mutex>
-#include <vector>
-
-#include <linux/perf_event.h>
-#include <sys/syscall.h>
-#include <unistd.h>
-
-#include "obs/prof.hh"
-
-namespace lbp
-{
-namespace obs
-{
-namespace pmu
-{
 
 namespace
 {
@@ -649,5 +633,3 @@ PmuSession::snapshot() const
 } // namespace pmu
 } // namespace obs
 } // namespace lbp
-
-#endif // LBP_PMU

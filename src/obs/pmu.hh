@@ -24,12 +24,11 @@
  * false and Snapshot::reason says why — callers publish
  * pmu.available=0 and keep running, never fail (DESIGN.md §15).
  *
- * Overhead contract (mirrors LBP_PROF): compiled in by default
- * (LBP_PMU=1) but runtime-off until PmuSession::start(); while off
- * the only cost is the profiler's relaxed hook-pointer load per
- * region transition. -DLBP_PMU=0 stubs everything below, and the
- * session never writes any sim/registry counter in either mode, so
- * disabled runs are bit-identical (tests/test_obs_pmu.cc).
+ * Overhead contract (mirrors obs/prof): runtime-off until
+ * PmuSession::start(); while off the only cost is the profiler's
+ * relaxed hook-pointer load per region transition. The session never
+ * writes any sim/registry counter, so counted and uncounted runs are
+ * bit-identical (tests/test_obs_pmu.cc).
  */
 
 #ifndef LBP_OBS_PMU_HH
@@ -41,17 +40,6 @@
 #include <iosfwd>
 #include <string>
 #include <vector>
-
-/** Compile-time toggle: -DLBP_PMU=0 stubs out the whole backend. */
-#ifndef LBP_PMU
-#define LBP_PMU 1
-#endif
-
-/** The backend is Linux-only; elsewhere the stubs stand in. */
-#if LBP_PMU && !defined(__linux__)
-#undef LBP_PMU
-#define LBP_PMU 0
-#endif
 
 namespace lbp
 {
@@ -121,18 +109,10 @@ struct Snapshot
     }
 };
 
-/** True when the backend is compiled in (LBP_PMU=1, Linux). */
-inline bool
-compiledIn()
-{
-    return LBP_PMU != 0;
-}
-
 /**
  * A snapshot as the shared "pmu" JSON block (bench documents,
  * `lbp_stats pmu --json`): "available" plus either "reason" or the
- * per-region raw counts and derived rates. Works in stub builds
- * (available=false) so call sites need no #if.
+ * per-region raw counts and derived rates.
  */
 Json snapshotJson(const Snapshot &s);
 
@@ -142,8 +122,6 @@ Json snapshotJson(const Snapshot &s);
  * rows. Prints the unavailability reason instead when !available.
  */
 void printSnapshotTable(std::ostream &os, const Snapshot &s);
-
-#if LBP_PMU
 
 /**
  * Process-wide counter session. All methods are thread-safe; at most
@@ -180,41 +158,6 @@ class PmuSession
   private:
     PmuSession() = default;
 };
-
-#else // !LBP_PMU — inert stubs, byte-identical call sites
-
-class PmuSession
-{
-  public:
-    static PmuSession &
-    instance()
-    {
-        static PmuSession s;
-        return s;
-    }
-    bool
-    start(std::string *whyNot = nullptr)
-    {
-        if (whyNot)
-            *whyNot = "pmu compiled out (built with -DLBP_PMU=OFF)";
-        return false;
-    }
-    void stop() {}
-    bool running() const { return false; }
-    void reset() {}
-    Snapshot
-    snapshot() const
-    {
-        Snapshot s;
-        s.reason = "pmu compiled out (built with -DLBP_PMU=OFF)";
-        return s;
-    }
-
-  private:
-    PmuSession() = default;
-};
-
-#endif // LBP_PMU
 
 } // namespace pmu
 } // namespace obs

@@ -11,7 +11,29 @@
 #include "obs/prof.hh"
 
 #include <algorithm>
+#include <atomic>
+#include <csignal>
+#include <cstring>
+#include <ctime>
 #include <map>
+#include <mutex>
+#include <vector>
+
+#include <pthread.h>
+#include <sys/syscall.h>
+#include <sys/types.h>
+#include <unistd.h>
+
+// Linux thread-directed timer delivery. glibc only exposes the
+// sigevent field behind a macro in recent versions; provide the
+// canonical fallbacks (g++ defines _GNU_SOURCE, so SIGEV_THREAD_ID
+// is normally already present).
+#ifndef SIGEV_THREAD_ID
+#define SIGEV_THREAD_ID 4
+#endif
+#ifndef sigev_notify_thread_id
+#define sigev_notify_thread_id _sigev_un._tid
+#endif
 
 namespace lbp
 {
@@ -49,42 +71,6 @@ collapsedStacks(const Snapshot &s)
     }
     return out;
 }
-
-} // namespace prof
-} // namespace obs
-} // namespace lbp
-
-#if LBP_PROF
-
-#include <atomic>
-#include <csignal>
-#include <cstring>
-#include <ctime>
-#include <mutex>
-#include <vector>
-
-#include <pthread.h>
-#include <sys/syscall.h>
-#include <sys/types.h>
-#include <unistd.h>
-
-// Linux thread-directed timer delivery. glibc only exposes the
-// sigevent field behind a macro in recent versions; provide the
-// canonical fallbacks (g++ defines _GNU_SOURCE, so SIGEV_THREAD_ID
-// is normally already present).
-#ifndef SIGEV_THREAD_ID
-#define SIGEV_THREAD_ID 4
-#endif
-#ifndef sigev_notify_thread_id
-#define sigev_notify_thread_id _sigev_un._tid
-#endif
-
-namespace lbp
-{
-namespace obs
-{
-namespace prof
-{
 
 namespace
 {
@@ -510,5 +496,3 @@ Profiler::snapshot() const
 } // namespace prof
 } // namespace obs
 } // namespace lbp
-
-#endif // LBP_PROF

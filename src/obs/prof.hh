@@ -23,12 +23,10 @@
  * (leak-by-design, bounded by peak thread count) so a snapshot can
  * outlive the threads it profiles.
  *
- * Overhead contract: compiled in by default (LBP_PROF=1) but
- * runtime-off until Profiler::start(); an idle ScopedRegion is two
- * relaxed stores. -DLBP_PROF=0 stubs out everything below, and the
- * profiler never writes any sim/registry counter in either mode, so
- * disabled runs are bit-identical — tests/test_obs_prof.cc proves it
- * the same way the LBP_TRACE untraced-TU discipline is proved.
+ * Overhead contract: runtime-off until Profiler::start(); an idle
+ * ScopedRegion is two relaxed stores. The profiler never writes any
+ * sim/registry counter, so profiled and unprofiled runs are
+ * bit-identical — tests/test_obs_prof.cc proves it.
  */
 
 #ifndef LBP_OBS_PROF_HH
@@ -38,11 +36,6 @@
 #include <cstdint>
 #include <string>
 #include <vector>
-
-/** Compile-time toggle: -DLBP_PROF=0 stubs out the whole profiler. */
-#ifndef LBP_PROF
-#define LBP_PROF 1
-#endif
 
 namespace lbp
 {
@@ -119,33 +112,6 @@ struct Snapshot
 /** flamegraph.pl input: one "a;b;c <count>" line per path. */
 std::string collapsedStacks(const Snapshot &s);
 
-/** True when the profiler is compiled in (LBP_PROF=1). */
-inline bool
-compiledIn()
-{
-    return LBP_PROF != 0;
-}
-
-/**
- * Raw cycle counter for rdtsc-windowed attribution (decoded-engine
- * per-ExecHandler profiling). Returns 0 on targets without a cheap
- * userspace counter — the windows then degenerate to zero and the
- * table simply reports nothing.
- */
-inline std::uint64_t
-tsc()
-{
-#if defined(__x86_64__) || defined(__i386__)
-    return __builtin_ia32_rdtsc();
-#elif defined(__aarch64__)
-    std::uint64_t v;
-    asm volatile("mrs %0, cntvct_el0" : "=r"(v));
-    return v;
-#else
-    return 0;
-#endif
-}
-
 /**
  * Region-transition observer: called by ScopedRegion with the new
  * innermost region id after every push and pop on the calling
@@ -156,8 +122,6 @@ tsc()
  * cost per transition is one relaxed load and a predicted branch.
  */
 using RegionHook = void (*)(std::uint8_t innermost);
-
-#if LBP_PROF
 
 /** Install (or clear, with nullptr) the region-transition hook. */
 void setRegionHook(RegionHook hook);
@@ -227,60 +191,6 @@ class Profiler
   private:
     Profiler() = default;
 };
-
-#else // !LBP_PROF — inert stubs, byte-identical call sites
-
-inline void
-setRegionHook(RegionHook)
-{
-}
-
-inline void
-setPathTableLimitForTest(std::size_t)
-{
-}
-
-inline std::uint8_t
-internRegion(const std::string &)
-{
-    return 0;
-}
-
-inline std::string
-regionLabel(std::uint8_t)
-{
-    return std::string();
-}
-
-class ScopedRegion
-{
-  public:
-    explicit ScopedRegion(Region) {}
-    explicit ScopedRegion(std::uint8_t) {}
-    ScopedRegion(const ScopedRegion &) = delete;
-    ScopedRegion &operator=(const ScopedRegion &) = delete;
-};
-
-class Profiler
-{
-  public:
-    static Profiler &
-    instance()
-    {
-        static Profiler p;
-        return p;
-    }
-    bool start(unsigned = kDefaultHz) { return false; }
-    void stop() {}
-    bool running() const { return false; }
-    void reset() {}
-    Snapshot snapshot() const { return {}; }
-
-  private:
-    Profiler() = default;
-};
-
-#endif // LBP_PROF
 
 } // namespace prof
 } // namespace obs

@@ -667,8 +667,8 @@ writePhasesSection(std::ostream &os, const ReportData &d)
  * split for the run that produced this report. Same .barrow bars as
  * the phase section, ranked by sample count, with the attribution
  * quality (fraction of samples landing inside a named region) in the
- * subtitle. A report generated without the profiler (LBP_PROF=OFF,
- * no timer support, or a pre-prof document) renders the placeholder.
+ * subtitle. A report generated without the profiler (no timer
+ * support, or a pre-prof document) renders the placeholder.
  */
 void
 writeProfSection(std::ostream &os, const ReportData &d)
@@ -689,8 +689,7 @@ writeProfSection(std::ostream &os, const ReportData &d)
     if (rows.empty()) {
         os << "<section id=\"prof\"><h2>Where the host cycles go"
               "</h2><p class=\"muted\">no self-profile in this "
-              "document (profiler compiled out or sampling "
-              "unavailable)</p></section>\n";
+              "document (sampling unavailable)</p></section>\n";
         return;
     }
     std::stable_sort(rows.begin(), rows.end(),
@@ -737,7 +736,7 @@ writeProfSection(std::ostream &os, const ReportData &d)
  * backend. Bars are the per-region cycle share; each row's value cell
  * carries the derived rates (IPC, branch-miss %, cache MPKI) when the
  * underlying counters were present. Reports from hosts without a PMU
- * (VMs, restricted perf_event_paranoid, LBP_PMU=OFF builds) render
+ * (VMs, restricted perf_event_paranoid) render
  * the recorded reason instead, so "no data" is always distinguishable
  * from "forgot to measure".
  */

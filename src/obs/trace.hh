@@ -1,6 +1,8 @@
 /**
  * @file
- * Cycle-level event tracing for the simulator engines.
+ * Cycle-level event tracing for the simulator. Only the reference
+ * engine carries emission sites; a VliwSim given a sink runs on it
+ * (SimConfig::trace).
  *
  * A TraceSink is a fixed-capacity single-writer ring buffer of POD
  * TraceEvents. The simulator is single-threaded per VliwSim instance
@@ -12,16 +14,13 @@
  * buffer-hit ops vs. SimStats::opsFromBuffer) never depend on ring
  * capacity.
  *
- * Two overhead controls:
- *  - compile time: build with -DLBP_TRACE=0 and every LBP_TRACE_EMIT
- *    site compiles to nothing;
- *  - run time: a null sink pointer short-circuits at a single
- *    predictable branch per site; samplePeriod keeps 1/N of the
- *    high-frequency kinds (Fetch, Branch, Nullify). Structural kinds
- *    (BufHit, Loop*, Penalty) are never sampled out: buffer-hit
- *    events are the paper's headline observable and their integral
- *    must stay exact, and loop enter/exit pairs must stay balanced
- *    for the residency timeline.
+ * Overhead control: a null sink pointer short-circuits at a single
+ * predictable branch per site; samplePeriod keeps 1/N of the
+ * high-frequency kinds (Fetch, Branch, Nullify). Structural kinds
+ * (BufHit, Loop*, Penalty) are never sampled out: buffer-hit events
+ * are the paper's headline observable and their integral must stay
+ * exact, and loop enter/exit pairs must stay balanced for the
+ * residency timeline.
  *
  * Export: Chrome trace-event JSON (loads in Perfetto / about:tracing;
  * 1 simulated cycle = 1 microsecond of trace time) and a compact
@@ -188,22 +187,11 @@ void writeChromeTrace(std::ostream &os, const TraceSink &sink,
 } // namespace obs
 } // namespace lbp
 
-/**
- * Compile-time toggle: -DLBP_TRACE=0 removes every emission site.
- * Default on — the runtime null-check is a single predicted branch.
- */
-#ifndef LBP_TRACE
-#define LBP_TRACE 1
-#endif
-
-#if LBP_TRACE
+/** Emit one event when @p sink is non-null (one predicted branch). */
 #define LBP_TRACE_EMIT(sink, kind, cycle, loopId, a, b)                     \
     do {                                                                    \
         if (sink)                                                           \
             (sink)->emit((kind), (cycle), (loopId), (a), (b));              \
     } while (0)
-#else
-#define LBP_TRACE_EMIT(sink, kind, cycle, loopId, a, b) ((void)0)
-#endif
 
 #endif // LBP_OBS_TRACE_HH

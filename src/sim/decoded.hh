@@ -60,11 +60,10 @@ struct XSrc
 
 /**
  * Dispatch class of a MicroOp, assigned once at predecode. The
- * executor dispatches on this byte — either through a computed-goto
- * label table (LBP_THREADED_DISPATCH on GCC/Clang) or a dense switch —
- * instead of re-classifying the full Opcode per execution. Opcodes
- * that share a handler share a value (all loads, all stores, the
- * binary ALU family, REC/EXEC, BR/BR_WLOOP).
+ * executor dispatches on this byte through a computed-goto label
+ * table (sim/dispatch.hh) instead of re-classifying the full Opcode
+ * per execution. Opcodes that share a handler share a value (all
+ * loads, all stores, the binary ALU family, REC/EXEC, BR/BR_WLOOP).
  */
 enum class ExecHandler : std::uint8_t
 {

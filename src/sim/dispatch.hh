@@ -1,28 +1,25 @@
 /**
  * @file
- * Per-op dispatch strategy shared by the decoded executor body and the
- * trace-cache replay loop.
+ * Per-op dispatch shared by the decoded executor body and the
+ * trace-cache replay loop: computed-goto ("threaded") dispatch through
+ * the GCC/Clang labels-as-values extension. A function-static label
+ * table is indexed by the handler byte predecode assigns to every
+ * MicroOp, so each op costs one indirect jump instead of a switch's
+ * bounds check plus jump-table indirection, and the branch predictor
+ * gets one indirect target per dispatch site. The library already
+ * requires GCC or Clang (__builtin_memcpy in ir/alu_ops.hh), so there
+ * is no portable fallback. The engine-differential test pins the
+ * handlers against the reference interpreter.
  *
- * LBP_THREADED_DISPATCH (CMake toggle, default ON) selects
- * computed-goto ("threaded") dispatch on compilers with the GCC/Clang
- * labels-as-values extension: a function-static label table indexed by
- * the handler byte predecode assigns to every MicroOp, so each op
- * costs one indirect jump instead of a switch's bounds check plus
- * jump-table indirection, and the branch predictor gets one indirect
- * target per dispatch site. Any other compiler — or an OFF build — gets
- * a dense switch over the same byte. The macros keep the handler
- * bodies themselves textually identical between the two strategies,
- * and the engine-differential test pins both against the reference
- * interpreter.
- *
- * Usage (order of LBP_DISPATCH_LABELS must match ExecHandler):
+ * Usage (the label order in LBP_DISPATCH_TABLE must match
+ * ExecHandler; the handler byte is total over it, so there is no
+ * bad-value path):
  *
  *   LBP_DISPATCH_TABLE();            // once per function, any scope
  *   for (...) {
  *       LBP_DISPATCH(m->handler) {
  *           LBP_HANDLER(PRED_DEF) { ...; LBP_NEXT_OP; }
  *           ...
- *           LBP_BAD_HANDLER();
  *       }
  *       LBP_DISPATCH_END;
  *   }
@@ -32,19 +29,6 @@
 #define LBP_SIM_DISPATCH_HH
 
 #include "sim/decoded.hh"
-#include "support/logging.hh"
-
-#ifndef LBP_THREADED_DISPATCH
-#define LBP_THREADED_DISPATCH 1
-#endif
-
-#if LBP_THREADED_DISPATCH && (defined(__GNUC__) || defined(__clang__))
-#define LBP_DISPATCH_COMPUTED_GOTO 1
-#else
-#define LBP_DISPATCH_COMPUTED_GOTO 0
-#endif
-
-#if LBP_DISPATCH_COMPUTED_GOTO
 
 #define LBP_DISPATCH_TABLE()                                                \
     static const void *const lbpHandlerTable                                \
@@ -57,26 +41,8 @@
 
 #define LBP_DISPATCH(h) goto *lbpHandlerTable[static_cast<int>(h)];
 #define LBP_HANDLER(name) lbp_h_##name:
-/** The handler byte is total over ExecHandler; no bad-value path. */
-#define LBP_BAD_HANDLER()
 #define LBP_NEXT_OP goto lbp_h_next
 #define LBP_DISPATCH_END                                                    \
     lbp_h_next:;
-
-#else // portable switch fallback
-
-#define LBP_DISPATCH_TABLE()                                                \
-    do {                                                                    \
-    } while (0)
-
-#define LBP_DISPATCH(h) switch (h)
-#define LBP_HANDLER(name) case ::lbp::ExecHandler::name:
-#define LBP_BAD_HANDLER()                                                   \
-    default:                                                                \
-        LBP_PANIC("bad handler byte in decoded dispatch")
-#define LBP_NEXT_OP break
-#define LBP_DISPATCH_END
-
-#endif // LBP_DISPATCH_COMPUTED_GOTO
 
 #endif // LBP_SIM_DISPATCH_HH

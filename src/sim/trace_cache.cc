@@ -700,7 +700,6 @@ VliwSim::replayResident(LoopCtx &ctx, const DecodedFunction &df,
                   LBP_HANDLER(RET) {
                     LBP_PANIC("control op in replay trace");
                   }
-                  LBP_BAD_HANDLER();
                 }
                 LBP_DISPATCH_END;
             }

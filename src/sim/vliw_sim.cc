@@ -105,6 +105,9 @@ VliwSim::VliwSim(const SchedProgram &code, const SimConfig &cfg,
     : code_(code), cfg_(cfg), buffer_(cfg.bufferOps)
 {
     LBP_ASSERT(code_.ir != nullptr, "SchedProgram without IR link");
+    // Event tracing is a reference-engine feature (SimConfig::trace).
+    if (cfg_.trace)
+        cfg_.engine = SimEngine::REFERENCE;
     if (image) {
         loopTable_ = &image->loops;
         decoded_ = &image->program;
@@ -212,7 +215,6 @@ VliwSim::run(const std::vector<std::int64_t> &args)
     if (traceCache_)
         traceCache_->resetRunStats();
     slotPred_.fill(1);
-    opProfCycles_.fill(0);
 
     obs::prof::ScopedRegion profRegion(
         cfg_.engine == SimEngine::DECODED

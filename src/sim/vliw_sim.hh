@@ -196,22 +196,17 @@ struct SimConfig
     std::int64_t replayMinIters = kMinCountedReplayIters;
 
     /**
-     * Cycle-level event tracing (obs/trace.hh). Null — the default —
-     * costs one predicted branch per emission site; both engines
-     * emit identical event streams for the same program, which the
-     * obs tests assert differentially.
+     * Cycle-level event tracing (obs/trace.hh), a reference-engine
+     * feature: a non-null sink runs the REFERENCE engine whatever
+     * `engine` says. The decoded engine has no emission sites; it
+     * would emit the identical event stream, and traced runs are
+     * compile-bound, so a second, hooked copy of its hot loop would
+     * buy nothing. SimStats and the collapsed cycle stack match an
+     * untraced DECODED run; only the trace-cache side counters
+     * (traceCacheStats) are absent. Null — the default — costs one
+     * predicted branch per reference-engine emission site.
      */
     obs::TraceSink *trace = nullptr;
-
-    /**
-     * Per-ExecHandler-kind rdtsc attribution in the decoded engine
-     * (read back via VliwSim::opProfCycles). Routes the run through
-     * the Traced instantiation — where trace replay never engages —
-     * so the production untraced stamp stays free of timing code;
-     * SimStats remain bit-identical either way. Effective only when
-     * both LBP_TRACE and LBP_PROF are compiled in.
-     */
-    bool opProf = false;
 };
 
 struct DecodedProgram;
@@ -326,19 +321,6 @@ class VliwSim
      */
     const obs::CycleStack &cycleStack() const { return cycleStack_; }
 
-    /**
-     * Per-ExecHandler rdtsc windows from the last SimConfig::opProf
-     * run, indexed by ExecHandler value (kOpProfSlots entries; zeros
-     * when op profiling was off or not compiled in). A "window" is
-     * the cycle span from one op's dispatch to the next op's — the
-     * handler body plus its share of dispatch overhead.
-     */
-    static constexpr std::size_t kOpProfSlots = 16;
-    const std::uint64_t *opProfCycles() const
-    {
-        return opProfCycles_.data();
-    }
-
   private:
     struct Frame
     {
@@ -352,25 +334,17 @@ class VliwSim
                                            const std::vector<std::int64_t>
                                                &args);
 
-    /** Decoded fast-path twin of callFunction (vliw_sim_decoded.cc). */
+    /**
+     * Decoded fast-path twin of callFunction (vliw_sim_decoded.cc),
+     * without trace emission sites.
+     */
     std::vector<std::int64_t> callFunctionDecoded(
         FuncId f, const std::vector<std::int64_t> &args);
 
     /**
-     * The decoded executor body, stamped out twice: Traced=false is
-     * the production hot path with every emission site compiled out
-     * (bit-identical code to a build without tracing), Traced=true
-     * carries the trace hooks. callFunctionDecoded dispatches on
-     * cfg_.trace once per call, not per bundle.
-     */
-    template <bool Traced>
-    std::vector<std::int64_t> callFunctionDecodedImpl(
-        FuncId f, const std::vector<std::int64_t> &args);
-
-    /**
      * Replay the resident loop on top of the loop stack from its
-     * cached trace (trace_cache.cc). Called from the untraced decoded
-     * body when fetch arrives at the loop head's first bundle.
+     * cached trace (trace_cache.cc). Called from the decoded body
+     * when fetch arrives at the loop head's first bundle.
      * NotEngaged means the body is untraceable and the general path
      * must run it.
      */
@@ -439,9 +413,6 @@ class VliwSim
 
     /** Slot standing predicates (physical machine state). */
     std::array<std::uint8_t, Machine::width> slotPred_;
-
-    /** See opProfCycles(); written only by the Traced stamp. */
-    std::array<std::uint64_t, kOpProfSlots> opProfCycles_{};
 };
 
 } // namespace lbp

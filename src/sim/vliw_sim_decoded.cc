@@ -1,45 +1,638 @@
 /**
  * @file
- * Untraced (production) instantiation of the decoded fast-path
- * executor, plus the dispatcher that picks a stamp per call. The
- * executor body lives in vliw_sim_decoded_body.hh; the Traced=true
- * stamp is built in vliw_sim_decoded_traced.cc so this TU's inliner
- * sees exactly one copy of the hot loop (see the body header's doc
- * comment for why that matters).
+ * The decoded fast-path executor: semantically a line-for-line twin
+ * of the reference interpreter in vliw_sim.cc, but running over the
+ * predecoded MicroOp image (decoded.hh). Differences are strictly
+ * mechanical:
+ *
+ *  - operands are pre-resolved (no OperandKind switch per read);
+ *  - NOPs are gone, bundle fetch sizes are precomputed;
+ *  - per-bundle deferred-write lists live in fixed stack arrays
+ *    instead of freshly allocated vectors;
+ *  - loop statistics are indexed by dense loop id (no map lookups);
+ *  - range checks proven at predecode time are not re-checked;
+ *  - no event-trace emission sites: a run with a trace sink uses the
+ *    reference engine (SimConfig::trace).
+ *
+ * Any behavioral divergence from the reference engine is a bug; the
+ * engine-differential test compares complete SimStats between the
+ * two across every registry workload.
  */
 
-#include "sim/vliw_sim_decoded_body.hh"
+#include "sim/vliw_sim.hh"
+
+#include "ir/alu_ops.hh"
+#include "sim/decoded.hh"
+#include "sim/dispatch.hh"
+#include "sim/trace_cache.hh"
+#include "support/logging.hh"
 
 namespace lbp
 {
-
-#if LBP_TRACE
-// Built in vliw_sim_decoded_traced.cc; keep it out of this TU.
-extern template std::vector<std::int64_t>
-VliwSim::callFunctionDecodedImpl<true>(
-    FuncId f, const std::vector<std::int64_t> &args);
-#endif
-
-template std::vector<std::int64_t>
-VliwSim::callFunctionDecodedImpl<false>(
-    FuncId f, const std::vector<std::int64_t> &args);
 
 std::vector<std::int64_t>
 VliwSim::callFunctionDecoded(FuncId f,
                              const std::vector<std::int64_t> &args)
 {
-#if LBP_TRACE
-    // opProf rides the Traced stamp (where trace replay never
-    // engages) so the production hot loop stays free of timing code;
-    // without the traced TU the flag degrades to a plain run.
-    if (cfg_.trace
-#if LBP_PROF
-        || cfg_.opProf
-#endif
-    )
-        return callFunctionDecodedImpl<true>(f, args);
-#endif
-    return callFunctionDecodedImpl<false>(f, args);
+    LBP_ASSERT(++callDepth_ < 200, "sim call stack overflow");
+    const DecodedProgram &dp = *decoded_;
+    const DecodedFunction &df = dp.functions[f];
+    LBP_ASSERT(args.size() == df.params.size(),
+               "arg count mismatch calling ", df.fn->name);
+
+    // Per-call register and predicate files come from the frame arena
+    // (two pointer bumps instead of two heap allocations); the chunked
+    // arena keeps them address-stable across recursive calls.
+    FrameArena::Scope frame(arena_);
+    std::int64_t *const regs = frame.allocI64(df.numRegs);
+    std::uint8_t *const preds = frame.allocU8(df.numPreds);
+    for (size_t i = 0; i < args.size(); ++i)
+        regs[df.params[i]] = args[i];
+
+    std::vector<LoopCtx> loopStack;
+    std::vector<LoopKey> evictedKeys;
+
+    BlockId curBlk = df.entry;
+    size_t curBu = 0;
+
+    const bool slotMode = cfg_.predMode == PredMode::SLOT;
+
+    auto readSrc = [&](const XSrc &s) -> std::int64_t {
+        if (s.kind == XSrc::REG)
+            return regs[s.idx];
+        if (s.kind == XSrc::IMM)
+            return s.imm;
+        return preds[s.idx];
+    };
+
+    // Deferred writes for the two-phase bundle commit. Capacities are
+    // bounded by the issue width (checked at predecode): at most one
+    // register or memory write per op, two predicate/slot writes per
+    // predicate define.
+    struct RegWrite { std::int32_t r; std::int64_t v; };
+    struct PredWrite { std::int32_t p; std::uint8_t v; };
+    struct SlotWrite { std::int32_t s; std::uint8_t v; };
+    struct MemWrite { Opcode op; std::int64_t addr; std::int64_t v; };
+    RegWrite regW[Machine::width];
+    PredWrite predW[2 * Machine::width];
+    SlotWrite slotW[2 * Machine::width];
+    MemWrite memW[Machine::width];
+
+    LBP_DISPATCH_TABLE();
+
+    while (true) {
+        LBP_ASSERT(curBlk != kNoBlock && curBlk < df.blocks.size(),
+                   "sim fell off CFG in ", df.fn->name);
+        const DecodedBlock &db = df.blocks[curBlk];
+        LBP_ASSERT(db.valid, "sim in dead or unscheduled block");
+
+        // Trace-cache engagement: arriving at the first bundle of the
+        // innermost loop's head block while it issues from the buffer
+        // is the replay condition (traces replay whole iterations).
+        // A NotEngaged result falls through to the general path;
+        // declines latch traceDeclined so resident-but-untraceable
+        // loops pay the gate once per activation, not once per
+        // iteration.
+        if (traceCache_ && curBu == 0 && !loopStack.empty()) {
+            LoopCtx &top = loopStack.back();
+            if (top.head == curBlk && top.fromBuffer &&
+                !top.traceDeclined) {
+                if (top.counted &&
+                    top.remaining < cfg_.replayMinIters) {
+                    // Residency without enough iterations left to
+                    // amortize a replay: a real bailout (the
+                    // general path runs the activation),
+                    // attributed like any build-gating decline —
+                    // once per activation.
+                    top.traceDeclined = true;
+                    traceCache_->countBailout(
+                        top.loopId,
+                        TraceBailoutReason::BelowEngageThreshold);
+                } else {
+                    const ReplayResult rr =
+                        replayResident(top, df, regs, preds);
+                    switch (rr.outcome) {
+                      case ReplayOutcome::NotEngaged:
+                        break;
+                      case ReplayOutcome::BackedgeFellThrough: {
+                        // The activation stays live; fetch falls
+                        // through the nullified backedge into the
+                        // head block's trailing bundles.
+                        curBu = rr.resumeBundle;
+                        continue;
+                      }
+                      case ReplayOutcome::SideExit: {
+                        // Mirror the general path's end-of-bundle
+                        // redirect: a same-bundle backedge exit
+                        // retires the activation first, then
+                        // context cancellation and the
+                        // taken-branch penalty.
+                        if (rr.ctxDone) {
+                            LoopCtx done = loopStack.back();
+                            loopStack.pop_back();
+                            LBP_ASSERT(!done.isExec,
+                                       "two control transfers in "
+                                       "one bundle");
+                            if (rr.whileExit) {
+                                chargeRedirect(
+                                    obs::CycleClass::
+                                        WhileExitPenalty,
+                                    done.loopId);
+                            }
+                            retireLoopStats(done);
+                        }
+                        while (!loopStack.empty() &&
+                               loopStack.back().head == curBlk &&
+                               rr.sideTarget !=
+                                   loopStack.back().head) {
+                            LoopCtx done = loopStack.back();
+                            loopStack.pop_back();
+                            retireLoopStats(done);
+                        }
+                        chargeRedirect(
+                            obs::CycleClass::TakenBranchPenalty,
+                            -1);
+                        curBlk = rr.sideTarget;
+                        curBu = 0;
+                        continue;
+                      }
+                      case ReplayOutcome::CountedDone:
+                      case ReplayOutcome::WloopExit: {
+                        LoopCtx done = loopStack.back();
+                        loopStack.pop_back();
+                        if (rr.outcome ==
+                            ReplayOutcome::WloopExit) {
+                            // While exits from the buffer are
+                            // mispredicted (the buffer keeps
+                            // replaying), exactly as on the
+                            // general path.
+                            chargeRedirect(
+                                obs::CycleClass::WhileExitPenalty,
+                                done.loopId);
+                        }
+                        retireLoopStats(done);
+                        if (done.isExec) {
+                            curBlk = done.resumeBlock;
+                            curBu = done.resumeBundle;
+                        } else {
+                            curBu = rr.resumeBundle;
+                        }
+                        continue;
+                      }
+                    }
+                }
+            }
+        }
+
+        if (curBu >= db.bundleCount) {
+            LBP_ASSERT(db.fallthrough != kNoBlock,
+                       "sim fell off block in ", df.fn->name);
+            curBlk = db.fallthrough;
+            curBu = 0;
+            continue;
+        }
+
+        const DecodedBundle &bu = df.bundles[db.firstBundle + curBu];
+        LBP_ASSERT(++bundlesExecuted_ <= cfg_.maxBundles,
+                   "bundle budget exceeded");
+        ++stats_.bundles;
+        ++stats_.cycles;
+
+        // Fetch accounting: are we executing this bundle from the
+        // loop buffer? Body ops are attributed to the innermost
+        // active loop either way, so per-loop opsFromBuffer sums
+        // exactly to the aggregate counter (the scorecard invariant).
+        bool fromBuffer = false;
+        int issueRow = -1;
+        if (!loopStack.empty()) {
+            const LoopCtx &top = loopStack.back();
+            if (curBlk == top.head) {
+                issueRow = top.loopId;
+                LoopStats &tls = stats_.loops[top.loopId];
+                if (top.fromBuffer) {
+                    fromBuffer = true;
+                    tls.opsFromBuffer += bu.sizeOps;
+                } else {
+                    tls.opsFromCache += bu.sizeOps;
+                }
+            }
+        }
+        stats_.opsFetched += bu.sizeOps;
+        if (fromBuffer)
+            stats_.opsFromBuffer += bu.sizeOps;
+        cycleStack_.charge(issueRow,
+                           fromBuffer
+                               ? obs::CycleClass::IssueFromBuffer
+                               : obs::CycleClass::IssueFromMemory,
+                           1);
+
+        // ---- Phase 1: evaluate ----
+        int nRegW = 0, nPredW = 0, nSlotW = 0, nMemW = 0;
+
+        bool redirect = false;
+        BlockId nextBlk = kNoBlock;
+        size_t nextBu = 0;
+        bool freeXfer = false;
+        obs::CycleClass redirCls = obs::CycleClass::TakenBranchPenalty;
+        int redirRow = -1;
+        const MicroOp *callOp = nullptr;
+        const MicroOp *retOp = nullptr;
+        bool sawControl = false;
+        auto takeRedirect =
+            [&](BlockId blk, size_t buIdx, bool free,
+                obs::CycleClass cls =
+                    obs::CycleClass::TakenBranchPenalty,
+                int row = -1) {
+            LBP_ASSERT(!sawControl,
+                       "two control transfers in one bundle");
+            sawControl = true;
+            redirect = true;
+            nextBlk = blk;
+            nextBu = buIdx;
+            freeXfer = free;
+            redirCls = cls;
+            redirRow = row;
+        };
+
+        const MicroOp *const opBase = df.ops.data();
+        for (const MicroOp *m = opBase + bu.first,
+                           *const end = m + bu.count;
+             m != end; ++m) {
+            bool exec;
+            if (slotMode && m->sensitive) {
+                ++stats_.opsSensitive;
+                exec = slotPred_[m->slot] != 0;
+            } else {
+                exec = m->guard == kNoPred || preds[m->guard] != 0;
+            }
+            if (!exec && m->op != Opcode::PRED_DEF) {
+                ++stats_.opsNullified;
+                if (isBranch(m->op)) {
+                    ++stats_.branches;
+                }
+                continue;
+            }
+
+            LBP_DISPATCH(m->handler) {
+              LBP_HANDLER(PRED_DEF) {
+                // The guard is an input to the define (Table 2).
+                bool g;
+                if (slotMode && m->sensitive) {
+                    g = slotPred_[m->slot] != 0;
+                } else if (m->guard != kNoPred) {
+                    g = preds[m->guard] != 0;
+                } else {
+                    g = true;
+                }
+                const std::int64_t a = readSrc(m->src[0]);
+                const std::int64_t b = readSrc(m->src[1]);
+                const bool c = evalCond(m->cond, a, b);
+                auto apply = [&](PredDefKind k, std::uint8_t dKind,
+                                 std::int32_t dIdx) {
+                    if (k == PredDefKind::NONE || dKind == 0)
+                        return;
+                    int w = -1;
+                    switch (k) {
+                      case PredDefKind::UT: w = g ? (c ? 1 : 0) : 0;
+                        break;
+                      case PredDefKind::UF: w = g ? (c ? 0 : 1) : 0;
+                        break;
+                      case PredDefKind::OT: if (g && c) w = 1; break;
+                      case PredDefKind::OF: if (g && !c) w = 1; break;
+                      case PredDefKind::AT: if (g && !c) w = 0; break;
+                      case PredDefKind::AF: if (g && c) w = 0; break;
+                      case PredDefKind::CT: if (g) w = c; break;
+                      case PredDefKind::CF: if (g) w = !c; break;
+                      default: LBP_PANIC("bad def kind");
+                    }
+                    if (w < 0)
+                        return;
+                    if (dKind == 2) {
+                        slotW[nSlotW++] =
+                            {dIdx, static_cast<std::uint8_t>(w)};
+                    } else {
+                        predW[nPredW++] =
+                            {dIdx, static_cast<std::uint8_t>(w)};
+                    }
+                };
+                apply(m->k0, m->pdKind0, m->pdIdx0);
+                apply(m->k1, m->pdKind1, m->pdIdx1);
+                LBP_NEXT_OP;
+              }
+
+              LBP_HANDLER(LOAD) {
+                const std::int64_t addr =
+                    readSrc(m->src[0]) + readSrc(m->src[1]);
+                const size_t need = m->op == Opcode::LD_B ? 1
+                                    : m->op == Opcode::LD_H ? 2 : 4;
+                std::int64_t v = 0;
+                const bool oob =
+                    addr < 0 ||
+                    static_cast<size_t>(addr) + need > mem_.size();
+                if (oob) {
+                    LBP_ASSERT(m->speculative,
+                               "non-speculative load fault @", addr);
+                    v = 0;
+                } else {
+                    std::uint32_t raw = 0;
+                    for (size_t i = 0; i < need; ++i) {
+                        raw |= static_cast<std::uint32_t>(
+                                   mem_[addr + i]) << (8 * i);
+                    }
+                    v = m->op == Opcode::LD_B
+                            ? static_cast<std::int8_t>(raw)
+                        : m->op == Opcode::LD_H
+                            ? static_cast<std::int16_t>(raw)
+                            : static_cast<std::int32_t>(raw);
+                }
+                regW[nRegW++] = {m->dstReg, v};
+                LBP_NEXT_OP;
+              }
+
+              LBP_HANDLER(STORE) {
+                const std::int64_t addr =
+                    readSrc(m->src[0]) + readSrc(m->src[1]);
+                memW[nMemW++] = {m->op, addr, readSrc(m->src[2])};
+                LBP_NEXT_OP;
+              }
+
+              LBP_HANDLER(MOV) {
+                regW[nRegW++] = {m->dstReg, readSrc(m->src[0])};
+                LBP_NEXT_OP;
+              }
+              LBP_HANDLER(ABS) {
+                regW[nRegW++] = {m->dstReg, wrapAbs(readSrc(m->src[0]))};
+                LBP_NEXT_OP;
+              }
+              LBP_HANDLER(ITOF) {
+                regW[nRegW++] = {m->dstReg,
+                                 asBits(static_cast<double>(
+                                     readSrc(m->src[0])))};
+                LBP_NEXT_OP;
+              }
+              LBP_HANDLER(FTOI) {
+                regW[nRegW++] = {m->dstReg,
+                                 ftoi(asDouble(readSrc(m->src[0])))};
+                LBP_NEXT_OP;
+              }
+              LBP_HANDLER(SELECT) {
+                const std::int64_t c = readSrc(m->src[0]);
+                regW[nRegW++] = {m->dstReg,
+                                 c ? readSrc(m->src[1])
+                                   : readSrc(m->src[2])};
+                LBP_NEXT_OP;
+              }
+
+              LBP_HANDLER(BR) {
+                ++stats_.branches;
+                const std::int64_t a = readSrc(m->src[0]);
+                const std::int64_t b = readSrc(m->src[1]);
+                const bool taken = evalCond(m->cond, a, b);
+                const bool isWloopBack =
+                    m->op == Opcode::BR_WLOOP && !loopStack.empty() &&
+                    !loopStack.back().counted &&
+                    m->target == loopStack.back().head;
+                if (taken) {
+                    ++stats_.branchesTaken;
+                    if (isWloopBack) {
+                        LoopCtx &ctx = loopStack.back();
+                        ++ctx.iterations;
+                        if (ctx.fromBuffer) {
+                            ++stats_.loops[ctx.loopId]
+                                  .bufferIterations;
+                        }
+                        // Loop-backs of buffered loops are free (the
+                        // buffer predicts them taken while looping).
+                        takeRedirect(m->target, 0, ctx.buffered,
+                                     obs::CycleClass::
+                                         LoopControlOverhead,
+                                     ctx.loopId);
+                        if (ctx.buffered)
+                            ctx.fromBuffer = true;
+                    } else {
+                        takeRedirect(m->target, 0, false);
+                    }
+                } else if (isWloopBack) {
+                    // While-loop exit: retire the context. Exits are
+                    // mispredicted when issuing from the buffer (the
+                    // buffer keeps replaying); from memory the
+                    // fall-through is the natural fetch path.
+                    LoopCtx ctx = loopStack.back();
+                    loopStack.pop_back();
+                    ++ctx.iterations;
+                    if (ctx.fromBuffer) {
+                        ++stats_.loops[ctx.loopId].bufferIterations;
+                        chargeRedirect(
+                            obs::CycleClass::WhileExitPenalty,
+                            ctx.loopId);
+                    }
+                    retireLoopStats(ctx);
+                    if (ctx.isExec) {
+                        takeRedirect(ctx.resumeBlock,
+                                     ctx.resumeBundle, true);
+                    }
+                }
+                LBP_NEXT_OP;
+              }
+
+              LBP_HANDLER(JUMP) {
+                ++stats_.branches;
+                ++stats_.branchesTaken;
+                takeRedirect(m->target, 0, false);
+                LBP_NEXT_OP;
+              }
+
+              LBP_HANDLER(BR_CLOOP) {
+                ++stats_.branches;
+                LBP_ASSERT(!loopStack.empty() &&
+                               loopStack.back().counted,
+                           "br.cloop without context in ",
+                           df.fn->name);
+                LoopCtx &ctx = loopStack.back();
+                ++ctx.iterations;
+                if (ctx.fromBuffer)
+                    ++stats_.loops[ctx.loopId].bufferIterations;
+                --ctx.remaining;
+                if (ctx.remaining > 0) {
+                    ++stats_.branchesTaken;
+                    // Counted loop-backs of buffered loops are free;
+                    // unbuffered ones redirect fetch like any taken
+                    // branch.
+                    takeRedirect(m->target, 0, ctx.buffered,
+                                 obs::CycleClass::LoopControlOverhead,
+                                 ctx.loopId);
+                    // After the first (recording) iteration, fetch
+                    // shifts to the buffer.
+                    if (ctx.buffered)
+                        ctx.fromBuffer = true;
+                } else {
+                    // Counted exit: fall-through, predicted by the
+                    // count — never a redirect.
+                    LoopCtx done = ctx;
+                    loopStack.pop_back();
+                    retireLoopStats(done);
+                    if (done.isExec) {
+                        takeRedirect(done.resumeBlock,
+                                     done.resumeBundle, true);
+                    }
+                }
+                LBP_NEXT_OP;
+              }
+
+              LBP_HANDLER(LOOP) {
+                LoopCtx ctx;
+                ctx.key = loopTable_->keys[m->loopId];
+                ctx.loopId = m->loopId;
+                ctx.counted = m->counted;
+                if (ctx.counted) {
+                    ctx.remaining = readSrc(m->src[0]);
+                    LBP_ASSERT(ctx.remaining >= 1,
+                               "cloop with count ", ctx.remaining);
+                }
+                ctx.head = m->target;
+                ctx.pipelined = m->pipelined;
+                ctx.bodyLen = m->bodyLen;
+                ctx.ii = m->ii;
+                ctx.minII = m->minII;
+                ctx.buffered = m->bufAddr >= 0;
+                LoopStats &ls = stats_.loops[m->loopId];
+                ++ls.activations;
+                bool recorded = false;
+                if (ctx.buffered) {
+                    if (buffer_.isResident(ctx.key)) {
+                        buffer_.countTableHit();
+                        ctx.fromBuffer = true;
+                    } else {
+                        buffer_.record(ctx.key, m->bufAddr,
+                                       m->imageOps, &evictedKeys);
+                        for (const LoopKey &ek : evictedKeys) {
+                            const int eid = loopTable_->idOf(ek);
+                            ++stats_.loops[eid].evictions;
+                            // A replay trace cannot outlive the
+                            // buffer image it models.
+                            if (traceCache_)
+                                traceCache_->invalidate(eid);
+                        }
+                        ++ls.recordings;
+                        ctx.fromBuffer = false;
+                        recorded = true;
+                    }
+                }
+                if (recorded) {
+                }
+                if (m->op == Opcode::EXEC_CLOOP ||
+                    m->op == Opcode::EXEC_WLOOP) {
+                    ctx.isExec = true;
+                    ctx.resumeBlock = curBlk;
+                    ctx.resumeBundle = curBu + 1;
+                    // Executing an already-buffered loop: no fetch
+                    // redirect cost.
+                    takeRedirect(m->target, 0, ctx.fromBuffer,
+                                 obs::CycleClass::LoopControlOverhead,
+                                 ctx.loopId);
+                }
+                loopStack.push_back(ctx);
+                LBP_NEXT_OP;
+              }
+
+              LBP_HANDLER(CALL) {
+                LBP_ASSERT(!callOp, "two calls in one bundle");
+                callOp = m;
+                LBP_NEXT_OP;
+              }
+
+              LBP_HANDLER(RET) {
+                retOp = m;
+                LBP_NEXT_OP;
+              }
+
+              LBP_HANDLER(ALU) {
+                regW[nRegW++] = {m->dstReg,
+                                 evalBinaryAlu(m->op, m->cond,
+                                               readSrc(m->src[0]),
+                                               readSrc(m->src[1]))};
+                LBP_NEXT_OP;
+              }
+            }
+            LBP_DISPATCH_END;
+        }
+
+        // ---- Phase 2: commit ----
+        for (int i = 0; i < nRegW; ++i)
+            regs[regW[i].r] = regW[i].v;
+        for (int i = 0; i < nPredW; ++i)
+            preds[predW[i].p] = predW[i].v;
+        for (int i = 0; i < nSlotW; ++i) {
+            for (int j = i + 1; j < nSlotW; ++j) {
+                LBP_ASSERT(slotW[i].s != slotW[j].s ||
+                               slotW[i].v == slotW[j].v,
+                           "conflicting same-cycle slot-predicate "
+                           "writes");
+            }
+            slotPred_[slotW[i].s] = slotW[i].v;
+        }
+        for (int i = 0; i < nMemW; ++i) {
+            const MemWrite &w = memW[i];
+            const size_t need = w.op == Opcode::ST_B ? 1
+                                : w.op == Opcode::ST_H ? 2 : 4;
+            LBP_ASSERT(w.addr >= 0 &&
+                           static_cast<size_t>(w.addr) + need <=
+                               mem_.size(),
+                       "store fault @", w.addr);
+            for (size_t k = 0; k < need; ++k) {
+                mem_[w.addr + k] = static_cast<std::uint8_t>(
+                    (w.v >> (8 * k)) & 0xff);
+            }
+        }
+
+        // Call/return (serialize: the call is the bundle's transfer).
+        if (retOp) {
+            std::vector<std::int64_t> rets;
+            rets.reserve(retOp->xsrcCount);
+            for (std::uint32_t i = 0; i < retOp->xsrcCount; ++i)
+                rets.push_back(
+                    readSrc(dp.extraSrcs[retOp->xsrcBegin + i]));
+            // Returning with live loop contexts would corrupt the
+            // caller's hardware loop stack.
+            LBP_ASSERT(loopStack.empty(),
+                       "RET with live hardware-loop context in ",
+                       df.fn->name);
+            chargeRedirect(obs::CycleClass::CallReturnPenalty, -1);
+            --callDepth_;
+            return rets;
+        }
+        if (callOp) {
+            std::vector<std::int64_t> cargs;
+            cargs.reserve(callOp->xsrcCount);
+            for (std::uint32_t i = 0; i < callOp->xsrcCount; ++i)
+                cargs.push_back(
+                    readSrc(dp.extraSrcs[callOp->xsrcBegin + i]));
+            chargeRedirect(obs::CycleClass::CallReturnPenalty, -1);
+            auto rets =
+                callFunctionDecoded(callOp->callee, cargs);
+            for (std::uint32_t i = 0; i < callOp->xdstCount; ++i)
+                regs[dp.extraDsts[callOp->xdstBegin + i]] = rets[i];
+        }
+
+        // Control transfer. A taken transfer that leaves the active
+        // hardware loop's body cancels its context (zero-overhead-
+        // loop hardware cancels on branches out of the loop).
+        if (redirect) {
+            while (!loopStack.empty() &&
+                   loopStack.back().head == curBlk &&
+                   nextBlk != loopStack.back().head) {
+                LoopCtx done = loopStack.back();
+                loopStack.pop_back();
+                retireLoopStats(done);
+            }
+            if (!freeXfer)
+                chargeRedirect(redirCls, redirRow);
+            curBlk = nextBlk;
+            curBu = nextBu;
+        } else {
+            ++curBu;
+        }
+    }
 }
 
 } // namespace lbp

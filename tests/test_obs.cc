@@ -19,6 +19,7 @@
 #include "obs/publish.hh"
 #include "obs/registry.hh"
 #include "obs/trace.hh"
+#include "sim/trace_cache.hh"
 #include "sim/vliw_sim.hh"
 
 namespace lbp
@@ -454,7 +455,15 @@ TEST(ObsTrace, GoldenLoopEventSequence)
     EXPECT_GT(spans[0].exitCycle, spans[0].enterCycle);
 }
 
-TEST(ObsTrace, EnginesEmitIdenticalEventStreams)
+/**
+ * Event tracing is a reference-engine feature: a DECODED config with
+ * a sink must run the reference engine (no trace cache, the
+ * reference event stream), yet still report what an untraced
+ * decoded run with the trace cache on reports — the same SimStats
+ * and, once replay is folded back into buffer issue, the same cycle
+ * stack.
+ */
+TEST(ObsTrace, TracedDecodedConfigRunsReferenceEngine)
 {
     Program prog = loopProgram(25, 7);
     CompileOptions opts;
@@ -464,17 +473,42 @@ TEST(ObsTrace, EnginesEmitIdenticalEventStreams)
     compileProgram(prog, opts, cr);
 
     const TracedRun ref = traceRun(cr, SimEngine::REFERENCE, 128);
-    const TracedRun dec = traceRun(cr, SimEngine::DECODED, 128);
 
-    EXPECT_TRUE(obs::diffSimStats(ref.stats, dec.stats).empty());
-    ASSERT_EQ(ref.events.size(), dec.events.size());
-    for (std::size_t i = 0; i < ref.events.size(); ++i) {
-        ASSERT_TRUE(ref.events[i] == dec.events[i])
-            << "event " << i << " diverges: "
-            << obs::traceKindName(ref.events[i].kind) << "@"
-            << ref.events[i].cycle << " vs "
-            << obs::traceKindName(dec.events[i].kind) << "@"
-            << dec.events[i].cycle;
+    obs::TraceSink sink(1u << 16);
+    SimConfig sc;
+    sc.bufferOps = 128;
+    sc.engine = SimEngine::DECODED;
+    sc.trace = &sink;
+    VliwSim traced(cr.code, sc);
+    const SimStats tracedStats = traced.run();
+    EXPECT_EQ(traced.traceCacheStats(), nullptr)
+        << "a traced run must not use the decoded trace cache";
+    EXPECT_EQ(sink.dropped(), 0u);
+    EXPECT_TRUE(sink.snapshot() == ref.events)
+        << "traced DECODED config diverges from the reference stream";
+
+    SimConfig plainCfg;
+    plainCfg.bufferOps = 128;
+    plainCfg.engine = SimEngine::DECODED;
+    plainCfg.traceCache = TraceCacheMode::On;
+    VliwSim plain(cr.code, plainCfg);
+    const SimStats plainStats = plain.run();
+    ASSERT_NE(plain.traceCacheStats(), nullptr);
+    EXPECT_GT(plain.traceCacheStats()->replays, 0u)
+        << "the untraced run should exercise trace replay";
+
+    EXPECT_TRUE(obs::diffSimStats(plainStats, tracedStats, "plain",
+                                  "traced")
+                    .empty());
+    ASSERT_EQ(plain.cycleStack().numRows(),
+              traced.cycleStack().numRows());
+    for (std::size_t i = 0; i < plain.cycleStack().numRows(); ++i) {
+        const int row = static_cast<int>(i) - 1;
+        EXPECT_EQ(obs::CycleStack::collapseReplay(
+                      plain.cycleStack().row(row)),
+                  obs::CycleStack::collapseReplay(
+                      traced.cycleStack().row(row)))
+            << "collapsed cycle stacks diverge at row " << row;
     }
 }
 

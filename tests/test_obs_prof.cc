@@ -5,9 +5,7 @@
  * markers, sampling across concurrent threads (the TSan target), and
  * — the contract the whole subsystem rests on — zero observable
  * effect on simulation: SimStats and every published registry
- * counter are bit-identical whether the profiler is off, running, or
- * compiled out entirely (the LBP_PROF=OFF CI leg closes the loop
- * across builds; this binary proves off-vs-running in one build).
+ * counter are bit-identical whether the profiler is off or running.
  *
  * Sampling assertions are deliberately generous: CI machines stall,
  * and a sampler test that needs a precise sample count is a flake
@@ -80,8 +78,6 @@ TEST(ObsProf, RegionNamesAreStable)
 
 TEST(ObsProf, InternRegionIsIdempotentAndLabeled)
 {
-    if (!prof::compiledIn())
-        GTEST_SKIP() << "profiler compiled out (LBP_PROF=0)";
     const std::uint8_t a = prof::internRegion("test.phase.alpha");
     const std::uint8_t b = prof::internRegion("test.phase.beta");
     EXPECT_NE(a, 0);
@@ -121,8 +117,6 @@ TEST(ObsProf, AttributedFractionMath)
 
 TEST(ObsProf, SamplesAttributeToInnermostRegion)
 {
-    if (!prof::compiledIn())
-        GTEST_SKIP() << "profiler compiled out (LBP_PROF=0)";
     prof::Profiler &p = prof::Profiler::instance();
     ASSERT_TRUE(p.start());
     EXPECT_TRUE(p.running());
@@ -163,8 +157,6 @@ TEST(ObsProf, SamplesAttributeToInnermostRegion)
  */
 TEST(ObsProf, PathTableOverflowCountsDroppedSamples)
 {
-    if (!prof::compiledIn())
-        GTEST_SKIP() << "profiler compiled out (LBP_PROF=0)";
     prof::Profiler &p = prof::Profiler::instance();
     p.reset();
     prof::setPathTableLimitForTest(1);
@@ -196,8 +188,6 @@ TEST(ObsProf, PathTableOverflowCountsDroppedSamples)
 
 TEST(ObsProf, ConcurrentThreadsSampleIndependently)
 {
-    if (!prof::compiledIn())
-        GTEST_SKIP() << "profiler compiled out (LBP_PROF=0)";
     prof::Profiler &p = prof::Profiler::instance();
     p.reset();
     ASSERT_TRUE(p.start());
@@ -239,9 +229,7 @@ TEST(ObsProf, ConcurrentThreadsSampleIndependently)
  * The zero-overhead-off proof within one build: a simulation run
  * with the profiler idle and one with it actively sampling produce
  * bit-identical SimStats and identical published counters (timing
- * gauges excluded — .ms keys measure the host). The cross-build half
- * of the proof (LBP_PROF=OFF binary vs this one) is the CI prof leg
- * diffing `lbp_stats run --json` dumps.
+ * gauges excluded — .ms keys measure the host).
  */
 TEST(ObsProf, SamplingNeverPerturbsSimulationCounters)
 {

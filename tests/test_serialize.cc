@@ -173,6 +173,40 @@ TEST(Serialize, ErrorsCarryLineNumbers)
     EXPECT_FALSE(verify(lax.functions[0]).empty());
 }
 
+TEST(Serialize, NegativeMemorySizeRejectedWithLine)
+{
+    try {
+        parseText("program x\nmemory -8\n");
+        FAIL() << "negative memory size parsed";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find("line 2"),
+                  std::string::npos)
+            << e.what();
+        EXPECT_NE(std::string(e.what()).find("negative memory size"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(Serialize, ChecksumOutsideMemoryFailsVerification)
+{
+    auto withRegion = [](const std::string &region) {
+        return parseText("program x\nmemory 8\nchecksum " + region +
+                         "\nentry main\nfunc main params() rets 0\n"
+                         "  block entry entry\n    ret\n");
+    };
+    // These parse (the verifier owns the check) but must not verify.
+    for (const char *bad : {"-4 8", "4 8", "0 -1"}) {
+        const auto errs = verify(withRegion(bad));
+        ASSERT_EQ(errs.size(), 1u) << bad;
+        EXPECT_NE(errs[0].find("checksum region"), std::string::npos)
+            << errs[0];
+    }
+    // A region that fits, and an empty one (hashes nothing).
+    for (const char *good : {"0 8", "9 0"})
+        EXPECT_TRUE(verify(withRegion(good)).empty()) << good;
+}
+
 TEST(Serialize, UnknownTargetRejected)
 {
     EXPECT_THROW(parseText(R"(

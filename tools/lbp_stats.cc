@@ -24,7 +24,10 @@
  * Options:
  *   --level=aggressive|traditional   compile configuration
  *   --buffer=N                       loop buffer size in ops (256)
- *   --engine=decoded|reference       simulator engine (decoded)
+ *   --engine=decoded|reference       simulator engine (decoded);
+ *                                    `trace` always simulates on
+ *                                    reference, the engine that
+ *                                    carries the event hooks
  *   --json=FILE                      write the registry dump / check
  *                                    verdict as JSON
  *   --csv=FILE                       write the registry dump as CSV
@@ -136,6 +139,7 @@ usage()
         << "       lbp_stats diff <a.json> <b.json>\n"
         << "       lbp_stats trace <workload> [--out=F] [--sample=N]\n"
         << "                 [--capacity=N] [--buffer=N] [--level=L]\n"
+        << "                 (always simulates on the reference engine)\n"
         << "       lbp_stats loops <workload> [--level=L] [--buffer=N]\n"
         << "                 [--engine=E] [--json=F] [--sort=S]\n"
         << "                 [--cycles]\n"
@@ -1009,11 +1013,9 @@ cmdReport(const Options &o)
     // Self-profile the report's own workload run so the "where the
     // host cycles go" section describes exactly the run whose
     // counters fill the rest of the document. Best-effort: when the
-    // profiler is compiled out or the timer cannot be armed the
-    // section degrades to its placeholder.
+    // timer cannot be armed the section degrades to its placeholder.
     obs::prof::Profiler &prof = obs::prof::Profiler::instance();
-    const bool profiling =
-        obs::prof::compiledIn() && prof.start(o.hz);
+    const bool profiling = prof.start(o.hz);
 
     // Same discipline for the host counters: best-effort session
     // around the same run; the #pmu section renders the snapshot's
@@ -1094,12 +1096,6 @@ cmdProf(const Options &o)
     if (o.positional.size() != 1)
         return usage();
     const std::string &name = o.positional[0];
-
-    if (!obs::prof::compiledIn()) {
-        std::cerr << "lbp_stats prof: profiler compiled out "
-                     "(built with -DLBP_PROF=OFF)\n";
-        return 1;
-    }
 
     obs::prof::Profiler &prof = obs::prof::Profiler::instance();
     if (!prof.start(o.hz)) {
@@ -1205,8 +1201,8 @@ cmdProf(const Options &o)
  * existing region markers. The workload repeats (--reps, default 3)
  * so short workloads still accumulate counter deltas across every
  * region. Exit 0 in every environment: a host without usable
- * counters (container, restrictive perf_event_paranoid, LBP_PMU=OFF
- * build) prints the reason and publishes pmu.available=0 — graceful
+ * counters (container, restrictive perf_event_paranoid, no
+ * perf_event_open) prints the reason and publishes pmu.available=0 — graceful
  * unavailability is the contract, not an error.
  */
 int
