@@ -100,10 +100,13 @@ scripts/test_cli.sh "$SAN_BUILD"/examples/example_lbpc tests/golden \
     lbpc_overflow
 # Sanitized engine differential with the trace cache disabled by env:
 # Auto resolves to off (general path sanitized), while the test's own
-# force-on leg keeps the replay path sanitized in the same run.
+# force-on leg keeps the replay path sanitized in the same run. The
+# same-bundle hazard tests ride along by name: both decoded drivers
+# over the in-place and deferred commits of the shared datapath.
 LBP_SIM_NO_TRACE_CACHE=1 \
     "$SAN_BUILD"/tests/lbp_sim_tests \
-    --gtest_filter='*EngineDifferential*' --gtest_brief=1
+    --gtest_filter='*EngineDifferential*:AllHazards/SameBundleHazard.*' \
+    --gtest_brief=1
 # Profiler under ASan, by name: live sampling with concurrent region
 # markers (the SIGPROF handler's single-writer discipline).
 "$SAN_BUILD"/tests/lbp_obs_tests \

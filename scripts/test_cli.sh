@@ -35,6 +35,11 @@
 #   sort_reject   `loops --sort=<key>` accepts exactly the documented
 #                 keys; an unknown key exits 2 and the error names
 #                 the accepted list before any compilation starts.
+#   numeric_flags every numeric flag takes one whole base-10 number
+#                 in its range: negative, non-numeric, trailing-junk,
+#                 overflowing and non-finite values exit 2 with a
+#                 message naming the flag and the value, before any
+#                 compilation starts; in-range values still run.
 #   prof_smoke    `prof` samples a repeated workload run, prints the
 #                 region table with an attribution line, and exports
 #                 non-empty collapsed stacks; on a kernel without
@@ -256,6 +261,44 @@ case "$CASE" in
         || fail "error should name the rejected key"
     grep -q 'ops|gain|evictions|bailouts|replay' "$TMP/err.txt" \
         || fail "error should list the accepted keys"
+    ;;
+
+  numeric_flags)
+    reject() {  # reject <flag> <value> <command...>
+        local flag=$1 value=$2
+        shift 2
+        "$LBP_STATS" "$@" "$flag=$value" > /dev/null 2> "$TMP/err.txt"
+        local rc=$?
+        [ $rc -eq 2 ] || fail "$* $flag=$value exited $rc, want 2"
+        grep -qF -- "invalid $flag value '$value'" "$TMP/err.txt" \
+            || fail "$flag=$value: error should name the flag and value"
+    }
+    reject --buffer -5 run adpcm_dec
+    reject --buffer abc run adpcm_dec
+    reject --buffer 99999999999 run adpcm_dec
+    reject --buffer 12x run adpcm_dec
+    reject --buffer '' run adpcm_dec
+    reject --capacity -1 trace adpcm_dec
+    reject --capacity 0 trace adpcm_dec
+    reject --sample 0 trace adpcm_dec
+    reject --sample 1.5 trace adpcm_dec
+    reject --window 0 history check "$TMP/none.json"
+    reject --rel -0.1 history check "$TMP/none.json"
+    reject --abs nan history check "$TMP/none.json"
+    reject --madk inf history check "$TMP/none.json"
+    reject --hz 0 prof adpcm_dec
+    reject --hz 4294967296 prof adpcm_dec
+    reject --reps -1 prof adpcm_dec
+    reject --keep 0 history prune
+    reject --keep 1e3 history prune
+    # In-range values (the ends of the --buffer range included) run.
+    for v in 0 1048576; do
+        "$LBP_STATS" run adpcm_dec --buffer=$v > /dev/null \
+            || fail "--buffer=$v should be accepted"
+    done
+    "$LBP_STATS" trace adpcm_dec --capacity=1 --sample=3 \
+        --out="$TMP/t.json" > /dev/null \
+        || fail "--capacity=1 --sample=3 should be accepted"
     ;;
 
   prof_smoke)

@@ -1,9 +1,10 @@
 /**
  * @file
  * Value semantics shared by the fast executors — the decoded IR
- * interpreter, the decoded sim executor body and the trace replay
- * loop: 16-bit saturation, the int64 <-> double bit casts, the
- * unary ABS/FTOI conversions and the binary ALU family.
+ * interpreter and the decoded sim's datapath (sim/bundle_exec.hh,
+ * run by both the general path and trace replay): 16-bit saturation,
+ * the int64 <-> double bit casts, the unary ABS/FTOI conversions,
+ * the binary ALU family and the Table-2 predicate-define writes.
  *
  * Integer arithmetic is two's complement with defined overflow:
  * ADD/SUB/MUL (and the SATADD/SATSUB sums before saturation) wrap,
@@ -126,6 +127,23 @@ evalBinaryAlu(Opcode op, CmpCond cond, std::int64_t a, std::int64_t b)
         LBP_PANIC("unhandled ALU opcode: ", opcodeName(op));
     }
 }
+
+/**
+ * Table 2 of the paper: the value a predicate define of kind k writes
+ * for guard g and condition c, or -1 for no update. Indexed
+ * [kind][g * 2 + c].
+ */
+inline constexpr std::int8_t kPredWrite[9][4] = {
+    {-1, -1, -1, -1}, // NONE
+    {0, 0, 0, 1},     // UT
+    {0, 0, 1, 0},     // UF
+    {-1, -1, -1, 1},  // OT
+    {-1, -1, 1, -1},  // OF
+    {-1, -1, 0, -1},  // AT
+    {-1, -1, -1, 0},  // AF
+    {-1, -1, 0, 1},   // CT
+    {-1, -1, 1, 0},   // CF
+};
 
 } // namespace lbp
 

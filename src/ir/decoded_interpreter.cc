@@ -27,23 +27,6 @@ handlerOf(Opcode op)
     return static_cast<std::uint8_t>(op);
 }
 
-/**
- * Table 2 of the paper: the value a define of kind k writes for
- * guard g and condition c, or -1 for no update. Indexed
- * [kind][g * 2 + c].
- */
-constexpr std::int8_t kPredWrite[9][4] = {
-    {-1, -1, -1, -1}, // NONE
-    {0, 0, 0, 1},     // UT
-    {0, 0, 1, 0},     // UF
-    {-1, -1, -1, 1},  // OT
-    {-1, -1, 1, -1},  // OF
-    {-1, -1, 0, -1},  // AT
-    {-1, -1, -1, 0},  // AF
-    {-1, -1, 0, 1},   // CT
-    {-1, -1, 1, 0},   // CF
-};
-
 /** Decodes one Function into an IrFunction. */
 class FunctionDecoder
 {

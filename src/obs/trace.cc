@@ -31,7 +31,6 @@ TraceSink::TraceSink(std::size_t capacity, std::uint64_t samplePeriod)
     : capacity_(std::max<std::size_t>(capacity, 1)),
       samplePeriod_(std::max<std::uint64_t>(samplePeriod, 1))
 {
-    ring_.resize(capacity_);
 }
 
 std::vector<TraceEvent>
@@ -47,6 +46,7 @@ TraceSink::snapshot() const
 void
 TraceSink::clear()
 {
+    ring_.clear();
     head_ = 0;
     size_ = 0;
     sampleSeq_ = 0;

@@ -88,9 +88,10 @@ class TraceSink
 {
   public:
     /**
-     * @p capacity ring slots (oldest overwritten on overflow);
-     * @p samplePeriod keeps one in N events of the sampled kinds
-     * (1 = keep everything).
+     * @p capacity ring slots (oldest overwritten on overflow), grown
+     * on demand: a short run in a large ring holds only the events it
+     * recorded. @p samplePeriod keeps one in N events of the sampled
+     * kinds (1 = keep everything).
      */
     explicit TraceSink(std::size_t capacity = 1u << 20,
                        std::uint64_t samplePeriod = 1);
@@ -111,7 +112,9 @@ class TraceSink
             head_ = head_ + 1 == capacity_ ? 0 : head_ + 1;
             return;
         }
-        ring_[(head_ + size_) % capacity_] = {cycle, a, b, loopId, k};
+        // Until the ring first fills, head_ is 0 and the next slot is
+        // the end of ring_.
+        ring_.push_back({cycle, a, b, loopId, k});
         ++size_;
     }
 

@@ -157,6 +157,7 @@ decodeOp(const SchedOp &so, FuncId f, const SchedFunction &sf,
     m.target = op.target;
     m.callee = op.callee;
     m.bufAddr = op.bufAddr;
+    m.alwaysExec = m.guard == kNoPred && !m.sensitive;
     if (m.guard != kNoPred) {
         LBP_ASSERT(m.guard < df.numPreds, "guard out of range");
     }
@@ -240,6 +241,57 @@ decodeOp(const SchedOp &so, FuncId f, const SchedFunction &sf,
     return m;
 }
 
+/**
+ * DecodedBundle::direct for the @p count ops at @p ops: scan in
+ * bundle order, recording what each op writes and refusing the
+ * bundle as soon as an op reads something an earlier op wrote.
+ */
+bool
+commitsInPlace(const MicroOp *ops, std::uint32_t count)
+{
+    std::int32_t wRegs[Machine::width];
+    std::int32_t wPreds[2 * Machine::width];
+    std::int32_t wSlots[2 * Machine::width];
+    int nRegs = 0, nPreds = 0, nSlots = 0;
+    bool sawStore = false;
+    auto wrote = [](const std::int32_t *w, int n, std::int64_t x) {
+        return std::find(w, w + n, x) != w + n;
+    };
+    auto recordDef = [&](PredDefKind k, std::uint8_t kind,
+                         std::int32_t idx) {
+        if (k == PredDefKind::NONE || kind == 0)
+            return;
+        if (kind == 2)
+            wSlots[nSlots++] = idx;
+        else
+            wPreds[nPreds++] = idx;
+    };
+    for (const MicroOp *m = ops; m != ops + count; ++m) {
+        if (m->guard != kNoPred && wrote(wPreds, nPreds, m->guard))
+            return false;
+        if (m->sensitive && wrote(wSlots, nSlots, m->slot))
+            return false;
+        for (const XSrc &s : m->src) {
+            if (s.kind == XSrc::REG && wrote(wRegs, nRegs, s.idx))
+                return false;
+            if (s.kind == XSrc::PRED && wrote(wPreds, nPreds, s.idx))
+                return false;
+        }
+        if (m->handler == ExecHandler::LOAD && sawStore)
+            return false;
+
+        if (m->handler == ExecHandler::PRED_DEF) {
+            recordDef(m->k0, m->pdKind0, m->pdIdx0);
+            recordDef(m->k1, m->pdKind1, m->pdIdx1);
+        } else if (m->handler == ExecHandler::STORE) {
+            sawStore = true;
+        } else if (m->dstReg >= 0) {
+            wRegs[nRegs++] = m->dstReg;
+        }
+    }
+    return nSlots < 2;
+}
+
 } // namespace
 
 DecodedProgram
@@ -288,9 +340,12 @@ decodeProgram(const SchedProgram &code, const LoopTable &loops)
                         continue;
                     df.ops.push_back(
                         decodeOp(so, f, sf, loops, df, dp));
+                    dbu.sensOps += so.op.sensitive ? 1 : 0;
                 }
                 dbu.count = static_cast<std::uint32_t>(df.ops.size()) -
                             dbu.first;
+                dbu.direct =
+                    commitsInPlace(df.ops.data() + dbu.first, dbu.count);
                 df.bundles.push_back(dbu);
             }
         }

@@ -12,6 +12,10 @@
  *    the executor needs no per-read range checks;
  *  - one POD MicroOp per real (non-NOP) operation, bundle extents as
  *    index ranges into one dense per-function op array;
+ *  - the static execution facts the datapath would otherwise
+ *    re-derive: per op, can it ever be nullified (alwaysExec); per
+ *    bundle, its sensitive-op count and whether its writes may
+ *    commit in place (direct);
  *  - loop-carrying ops (REC/EXEC) annotated with their interned dense
  *    loop id and static body metadata (length, II, image size);
  *  - variable-length CALL/RET operand lists spilled to side arrays.
@@ -98,9 +102,9 @@ struct MicroOp
 
     ExecHandler handler = ExecHandler::ALU;
     /**
-     * Trace-cache replay only: the op can never be nullified under
-     * the mode the trace was built for (no guard, and in SLOT mode
-     * not sensitive). Unused by the general executor.
+     * The op can never be nullified: no guard and not sensitive, so
+     * it executes in either PredMode. Lets the datapath's guard check
+     * (sim/bundle_exec.hh) skip the predicate reads.
      */
     bool alwaysExec = false;
 
@@ -142,6 +146,16 @@ struct DecodedBundle
     std::uint32_t first = 0;
     std::uint32_t count = 0;
     std::int32_t sizeOps = 0;   ///< fetch size (compressed encoding)
+    std::int32_t sensOps = 0;   ///< slot-sensitive ops (SLOT-mode count)
+    /**
+     * Writes may commit in place: no op reads a register, predicate
+     * or slot an earlier op of the bundle writes (a sensitive op
+     * counts as reading its slot in either PredMode), no load follows
+     * a store, and at most one slot-predicate write, so the
+     * same-cycle slot-conflict check keeps its deferred commit.
+     * False is always safe: the bundle then runs two-phase.
+     */
+    bool direct = false;
 };
 
 /** Block extent in the per-function bundle array. */
@@ -206,7 +220,8 @@ DecodedImage buildDecodedImage(const SchedProgram &code);
  * Refresh the buffer-allocation-dependent fields of @p img after a
  * reallocateBuffers() pass mutated the SchedProgram it was decoded
  * from: the bufAddr captured on every REC/EXEC MicroOp and in the
- * LoopTable's per-loop prototypes. Everything else in the image is
+ * LoopTable's per-loop prototypes. Everything else in the image —
+ * the alwaysExec/direct/sensOps facts included — is
  * allocation-invariant, so a size sweep can decode once and rebind
  * per point instead of re-decoding the whole program.
  */

@@ -1,25 +1,22 @@
 /**
  * @file
- * Trace build (with its static safety gating) and the replay loop.
+ * Trace build (with its static safety gating) and the replay driver.
  *
- * The replay loop is a semantic twin of the decoded executor body
- * restricted to resident-loop iterations: same two-phase bundle
- * commit (unless the build proved a bundle direct-committable), same
- * nullification, branch and sensitivity accounting, same per-loop
- * attribution — but with the block walk, fetch-path test and
+ * The replay driver is the decoded executor restricted to
+ * resident-loop iterations: the same datapath (bundle_exec.hh) runs
+ * the same decoded ops, with the block walk, fetch-path test and
  * per-bundle counter updates hoisted out (charged once per
- * iteration). Every counter it touches must end a run bit-identical
- * to the general path; the engine-differential test enforces that
+ * iteration), and its own control handlers for the backedge and side
+ * exits. Every counter it touches must end a run bit-identical to
+ * the general path; the engine-differential test enforces that
  * against the reference interpreter with the cache force-enabled and
  * force-disabled.
  */
 
 #include "sim/trace_cache.hh"
 
-#include <algorithm>
-
-#include "ir/alu_ops.hh"
 #include "obs/prof.hh"
+#include "sim/bundle_exec.hh"
 #include "sim/dispatch.hh"
 #include "sim/vliw_sim.hh"
 #include "support/logging.hh"
@@ -180,8 +177,7 @@ accumulateTraceCacheStats(TraceCacheStats &into,
     }
 }
 
-TraceCache::TraceCache(std::size_t numLoops, bool slotMode)
-    : traces_(numLoops), slotMode_(slotMode)
+TraceCache::TraceCache(std::size_t numLoops) : traces_(numLoops)
 {
     stats_.perLoop.resize(numLoops);
 }
@@ -246,93 +242,24 @@ TraceCache::build(LoopTrace &tr, const LoopCtx &ctx,
         return;
     }
 
+    // The trace is the head block's bundles up to and including the
+    // backedge's; predicated when the backedge is guarded or another
+    // branch can leave the body (a side exit).
     const DecodedBlock &db = df.blocks[ctx.head];
     const BackedgeLoc be = findBackedge(ctx, df);
-    const MicroOp *const backedge = be.op;
-    tr.predicated = backedge->guard != kNoPred;
-
-    // Flatten bundles 0..backedge, baking the static facts replay
-    // uses: can the op ever be nullified, and can the bundle commit
-    // writes in place (no op reads register/predicate/slot state an
-    // earlier same-bundle op writes; no load after a store).
-    for (std::int32_t bi = 0; bi <= be.bundle; ++bi) {
-        const DecodedBundle &bu = df.bundles[db.firstBundle + bi];
-        TraceBundle tb;
-        tb.first = static_cast<std::uint32_t>(tr.ops.size());
-        tb.sizeOps = bu.sizeOps;
-
-        std::vector<std::int32_t> wRegs, wPreds, wSlots;
-        bool sawStore = false;
-        int slotWrites = 0;
-        bool direct = true;
-        auto wrote = [](const std::vector<std::int32_t> &v,
-                        std::int32_t x) {
-            return std::find(v.begin(), v.end(), x) != v.end();
-        };
-        auto readsEarlierWrite = [&](const MicroOp &m) {
-            if (m.guard != kNoPred && wrote(wPreds, m.guard))
-                return true;
-            if (slotMode_ && m.sensitive && wrote(wSlots, m.slot))
-                return true;
-            for (const XSrc &s : m.src) {
-                if (s.kind == XSrc::REG &&
-                    wrote(wRegs, static_cast<std::int32_t>(s.idx)))
-                    return true;
-                if (s.kind == XSrc::PRED &&
-                    wrote(wPreds, static_cast<std::int32_t>(s.idx)))
-                    return true;
-            }
-            return m.handler == ExecHandler::LOAD && sawStore;
-        };
-
-        for (std::uint32_t oi = 0; oi < bu.count; ++oi) {
-            const MicroOp &m = df.ops[bu.first + oi];
-            if (&m == backedge) {
-                tr.beOpIndex =
-                    static_cast<std::uint32_t>(tr.ops.size());
-            } else if (m.handler == ExecHandler::BR ||
-                       m.handler == ExecHandler::JUMP) {
-                tr.predicated = true;  // a side exit
-            }
-            if (readsEarlierWrite(m))
-                direct = false;
-            if (m.handler == ExecHandler::PRED_DEF) {
-                auto recDst = [&](PredDefKind k, std::uint8_t kind,
-                                  std::int32_t idx) {
-                    if (k == PredDefKind::NONE || kind == 0)
-                        return;
-                    if (kind == 2) {
-                        wSlots.push_back(idx);
-                        ++slotWrites;
-                    } else {
-                        wPreds.push_back(idx);
-                    }
-                };
-                recDst(m.k0, m.pdKind0, m.pdIdx0);
-                recDst(m.k1, m.pdKind1, m.pdIdx1);
-            } else if (m.handler == ExecHandler::STORE) {
-                sawStore = true;
-            } else if (m.dstReg >= 0) {
-                wRegs.push_back(m.dstReg);
-            }
-            MicroOp copy = m;
-            copy.alwaysExec = m.guard == kNoPred &&
-                              !(slotMode_ && m.sensitive);
-            if (slotMode_ && m.sensitive) {
-                ++tr.sensitivePerIter;
-                ++tb.sensOps;
-            }
-            tr.ops.push_back(copy);
-        }
-        // Two slot writes in one cycle trip a conflict assert on the
-        // two-phase path; keep that diagnosable.
-        if (slotWrites >= 2)
-            direct = false;
-        tb.count =
-            static_cast<std::uint32_t>(tr.ops.size()) - tb.first;
-        tb.direct = direct;
-        tr.bundles.push_back(tb);
+    tr.firstBundle = db.firstBundle;
+    tr.bundleCount = static_cast<std::uint32_t>(be.bundle) + 1;
+    tr.beOp = static_cast<std::uint32_t>(be.op - df.ops.data());
+    tr.predicated = be.op->guard != kNoPred;
+    for (std::uint32_t bi = 0; bi < tr.bundleCount; ++bi) {
+        const DecodedBundle &bu = df.bundles[tr.firstBundle + bi];
         tr.opsPerIter += static_cast<std::uint64_t>(bu.sizeOps);
+        tr.sensitivePerIter += static_cast<std::uint64_t>(bu.sensOps);
+        for (std::uint32_t oi = bu.first; oi < bu.first + bu.count; ++oi)
+            if (oi != tr.beOp &&
+                (df.ops[oi].handler == ExecHandler::BR ||
+                 df.ops[oi].handler == ExecHandler::JUMP))
+                tr.predicated = true;
     }
 
     tr.state = LoopTrace::State::Ready;
@@ -361,52 +288,21 @@ VliwSim::replayResident(LoopCtx &ctx, const DecodedFunction &df,
     TraceCacheStats &tcs = tc.stats();
     ++tcs.replays;
     LoopStats &ls = stats_.loops[ctx.loopId];
-    const bool slotMode = tc.slotMode();
-    std::uint8_t *const slotPred = slotPred_.data();
+    const bool slotMode = cfg_.predMode == PredMode::SLOT;
+    BundleExec bx(regs, preds, slotPred_.data(), mem_, slotMode);
 
-    auto readSrc = [&](const XSrc &s) -> std::int64_t {
-        if (s.kind == XSrc::REG)
-            return regs[s.idx];
-        if (s.kind == XSrc::IMM)
-            return s.imm;
-        return preds[s.idx];
-    };
-
-    // Deferred writes for bundles the build could not prove
-    // direct-committable — same shapes as the executor body.
-    struct RegWrite { std::int32_t r; std::int64_t v; };
-    struct PredWrite { std::int32_t p; std::uint8_t v; };
-    struct SlotWrite { std::int32_t s; std::uint8_t v; };
-    struct MemWrite { Opcode op; std::int64_t addr; std::int64_t v; };
-    RegWrite regW[Machine::width];
-    PredWrite predW[2 * Machine::width];
-    SlotWrite slotW[2 * Machine::width];
-    MemWrite memW[Machine::width];
-
-    auto storeBytes = [&](Opcode op, std::int64_t addr,
-                          std::int64_t v) {
-        const size_t need = op == Opcode::ST_B ? 1
-                            : op == Opcode::ST_H ? 2 : 4;
-        LBP_ASSERT(addr >= 0 && static_cast<size_t>(addr) + need <=
-                                    mem_.size(),
-                   "store fault @", addr);
-        for (size_t k = 0; k < need; ++k) {
-            mem_[addr + k] = static_cast<std::uint8_t>(
-                (v >> (8 * k)) & 0xff);
-        }
-    };
-
-    const MicroOp *const opBase = tr.ops.data();
-    const MicroOp *const beOp = opBase + tr.beOpIndex;
-    const TraceBundle *const buBase = tr.bundles.data();
-    const std::size_t nBundles = tr.bundles.size();
+    const MicroOp *const opBase = df.ops.data();
+    const MicroOp *const beOp = opBase + tr.beOp;
+    const DecodedBundle *const buBase = df.bundles.data() + tr.firstBundle;
+    const std::size_t nBundles = tr.bundleCount;
 
     // Control outcome of the current iteration, set by the control
     // handlers. The backedge sits in the last bundle, so only a taken
-    // side exit can end an iteration early.
+    // side exit can end an iteration early, and an iteration that
+    // sets none of the backedge outcomes fell through a nullified
+    // backedge.
     bool sawControl = false;
     bool backTaken = false;
-    bool backFell = false;
     bool countedExit = false;
     bool wloopExit = false;
     bool sideTaken = false;
@@ -417,215 +313,25 @@ VliwSim::replayResident(LoopCtx &ctx, const DecodedFunction &df,
     auto execIteration = [&]() -> std::size_t {
         LBP_DISPATCH_TABLE();
         for (std::size_t bi = 0; bi < nBundles; ++bi) {
-            const TraceBundle &tb = buBase[bi];
-            const bool direct = tb.direct;
-            int nRegW = 0, nPredW = 0, nSlotW = 0, nMemW = 0;
-
-            for (const MicroOp *m = opBase + tb.first,
-                               *const end = m + tb.count;
+            const DecodedBundle &bu = buBase[bi];
+            bx.begin(bu);
+            for (const MicroOp *m = opBase + bu.first,
+                               *const end = m + bu.count;
                  m != end; ++m) {
-                if (!m->alwaysExec) {
-                    bool exec;
-                    if (slotMode && m->sensitive)
-                        exec = slotPred[m->slot] != 0;
-                    else
-                        exec = m->guard == kNoPred ||
-                               preds[m->guard] != 0;
-                    if (!exec &&
-                        m->handler != ExecHandler::PRED_DEF) {
-                        ++stats_.opsNullified;
-                        // Nullified branches still count as branches
-                        // on the general path (isBranch covers BR /
-                        // JUMP / BR_CLOOP / BR_WLOOP); a nullified
-                        // backedge means the iteration falls through
-                        // it and the activation stays live.
-                        if (m->handler == ExecHandler::BR ||
-                            m->handler == ExecHandler::JUMP ||
-                            m->handler == ExecHandler::BR_CLOOP) {
-                            ++stats_.branches;
-                            if (m == beOp)
-                                backFell = true;
-                        }
-                        continue;
-                    }
-                }
+                const bool g = bx.guard(*m);
+                if (BundleExec::nullified(*m, g, stats_))
+                    continue;
 
                 LBP_DISPATCH(m->handler) {
-                  LBP_HANDLER(PRED_DEF) {
-                    bool g;
-                    if (m->alwaysExec) {
-                        g = true;
-                    } else if (slotMode && m->sensitive) {
-                        g = slotPred[m->slot] != 0;
-                    } else if (m->guard != kNoPred) {
-                        g = preds[m->guard] != 0;
-                    } else {
-                        g = true;
-                    }
-                    const std::int64_t a = readSrc(m->src[0]);
-                    const std::int64_t b = readSrc(m->src[1]);
-                    const bool c = evalCond(m->cond, a, b);
-                    auto apply = [&](PredDefKind k,
-                                     std::uint8_t dKind,
-                                     std::int32_t dIdx) {
-                        if (k == PredDefKind::NONE || dKind == 0)
-                            return;
-                        int w = -1;
-                        switch (k) {
-                          case PredDefKind::UT:
-                            w = g ? (c ? 1 : 0) : 0;
-                            break;
-                          case PredDefKind::UF:
-                            w = g ? (c ? 0 : 1) : 0;
-                            break;
-                          case PredDefKind::OT:
-                            if (g && c) w = 1;
-                            break;
-                          case PredDefKind::OF:
-                            if (g && !c) w = 1;
-                            break;
-                          case PredDefKind::AT:
-                            if (g && !c) w = 0;
-                            break;
-                          case PredDefKind::AF:
-                            if (g && c) w = 0;
-                            break;
-                          case PredDefKind::CT:
-                            if (g) w = c;
-                            break;
-                          case PredDefKind::CF:
-                            if (g) w = !c;
-                            break;
-                          default:
-                            LBP_PANIC("bad def kind");
-                        }
-                        if (w < 0)
-                            return;
-                        if (dKind == 2) {
-                            if (direct)
-                                slotPred[dIdx] =
-                                    static_cast<std::uint8_t>(w);
-                            else
-                                slotW[nSlotW++] =
-                                    {dIdx,
-                                     static_cast<std::uint8_t>(w)};
-                        } else {
-                            if (direct)
-                                preds[dIdx] =
-                                    static_cast<std::uint8_t>(w);
-                            else
-                                predW[nPredW++] =
-                                    {dIdx,
-                                     static_cast<std::uint8_t>(w)};
-                        }
-                    };
-                    apply(m->k0, m->pdKind0, m->pdIdx0);
-                    apply(m->k1, m->pdKind1, m->pdIdx1);
-                    LBP_NEXT_OP;
-                  }
-
-                  LBP_HANDLER(LOAD) {
-                    const std::int64_t addr =
-                        readSrc(m->src[0]) + readSrc(m->src[1]);
-                    const size_t need = m->op == Opcode::LD_B ? 1
-                                        : m->op == Opcode::LD_H ? 2
-                                                                : 4;
-                    std::int64_t v = 0;
-                    const bool oob =
-                        addr < 0 ||
-                        static_cast<size_t>(addr) + need >
-                            mem_.size();
-                    if (oob) {
-                        LBP_ASSERT(m->speculative,
-                                   "non-speculative load fault @",
-                                   addr);
-                        v = 0;
-                    } else {
-                        std::uint32_t raw = 0;
-                        for (size_t i = 0; i < need; ++i) {
-                            raw |= static_cast<std::uint32_t>(
-                                       mem_[addr + i])
-                                   << (8 * i);
-                        }
-                        v = m->op == Opcode::LD_B
-                                ? static_cast<std::int8_t>(raw)
-                            : m->op == Opcode::LD_H
-                                ? static_cast<std::int16_t>(raw)
-                                : static_cast<std::int32_t>(raw);
-                    }
-                    if (direct)
-                        regs[m->dstReg] = v;
-                    else
-                        regW[nRegW++] = {m->dstReg, v};
-                    LBP_NEXT_OP;
-                  }
-
-                  LBP_HANDLER(STORE) {
-                    const std::int64_t addr =
-                        readSrc(m->src[0]) + readSrc(m->src[1]);
-                    const std::int64_t v = readSrc(m->src[2]);
-                    if (direct)
-                        storeBytes(m->op, addr, v);
-                    else
-                        memW[nMemW++] = {m->op, addr, v};
-                    LBP_NEXT_OP;
-                  }
-
-                  LBP_HANDLER(MOV) {
-                    const std::int64_t v = readSrc(m->src[0]);
-                    if (direct)
-                        regs[m->dstReg] = v;
-                    else
-                        regW[nRegW++] = {m->dstReg, v};
-                    LBP_NEXT_OP;
-                  }
-                  LBP_HANDLER(ABS) {
-                    const std::int64_t v = wrapAbs(readSrc(m->src[0]));
-                    if (direct)
-                        regs[m->dstReg] = v;
-                    else
-                        regW[nRegW++] = {m->dstReg, v};
-                    LBP_NEXT_OP;
-                  }
-                  LBP_HANDLER(ITOF) {
-                    const std::int64_t v = asBits(
-                        static_cast<double>(readSrc(m->src[0])));
-                    if (direct)
-                        regs[m->dstReg] = v;
-                    else
-                        regW[nRegW++] = {m->dstReg, v};
-                    LBP_NEXT_OP;
-                  }
-                  LBP_HANDLER(FTOI) {
-                    const std::int64_t v =
-                        ftoi(asDouble(readSrc(m->src[0])));
-                    if (direct)
-                        regs[m->dstReg] = v;
-                    else
-                        regW[nRegW++] = {m->dstReg, v};
-                    LBP_NEXT_OP;
-                  }
-                  LBP_HANDLER(SELECT) {
-                    const std::int64_t c = readSrc(m->src[0]);
-                    const std::int64_t v = c ? readSrc(m->src[1])
-                                             : readSrc(m->src[2]);
-                    if (direct)
-                        regs[m->dstReg] = v;
-                    else
-                        regW[nRegW++] = {m->dstReg, v};
-                    LBP_NEXT_OP;
-                  }
-
-                  LBP_HANDLER(ALU) {
-                    const std::int64_t v = evalBinaryAlu(
-                        m->op, m->cond, readSrc(m->src[0]),
-                        readSrc(m->src[1]));
-                    if (direct)
-                        regs[m->dstReg] = v;
-                    else
-                        regW[nRegW++] = {m->dstReg, v};
-                    LBP_NEXT_OP;
-                  }
+                  LBP_HANDLER(PRED_DEF) { bx.predDef(*m, g); LBP_NEXT_OP; }
+                  LBP_HANDLER(LOAD) { bx.load(*m); LBP_NEXT_OP; }
+                  LBP_HANDLER(STORE) { bx.store(*m); LBP_NEXT_OP; }
+                  LBP_HANDLER(MOV) { bx.mov(*m); LBP_NEXT_OP; }
+                  LBP_HANDLER(ABS) { bx.abs(*m); LBP_NEXT_OP; }
+                  LBP_HANDLER(ITOF) { bx.itof(*m); LBP_NEXT_OP; }
+                  LBP_HANDLER(FTOI) { bx.ftoi(*m); LBP_NEXT_OP; }
+                  LBP_HANDLER(SELECT) { bx.select(*m); LBP_NEXT_OP; }
+                  LBP_HANDLER(ALU) { bx.alu(*m); LBP_NEXT_OP; }
 
                   // Control ops: the activation's own backedge (at
                   // beOp) plus side exits. Each mirrors the general
@@ -635,9 +341,9 @@ VliwSim::replayResident(LoopCtx &ctx, const DecodedFunction &df,
                   // redirect.
                   LBP_HANDLER(BR) {
                     ++stats_.branches;
-                    const std::int64_t a = readSrc(m->src[0]);
-                    const std::int64_t b = readSrc(m->src[1]);
-                    const bool taken = evalCond(m->cond, a, b);
+                    const bool taken =
+                        evalCond(m->cond, bx.read(m->src[0]),
+                                 bx.read(m->src[1]));
                     if (m == beOp) {
                         // The while backedge (a counted loop's
                         // backedge is a BR_CLOOP).
@@ -703,24 +409,7 @@ VliwSim::replayResident(LoopCtx &ctx, const DecodedFunction &df,
                 }
                 LBP_DISPATCH_END;
             }
-
-            if (!direct) {
-                for (int i = 0; i < nRegW; ++i)
-                    regs[regW[i].r] = regW[i].v;
-                for (int i = 0; i < nPredW; ++i)
-                    preds[predW[i].p] = predW[i].v;
-                for (int i = 0; i < nSlotW; ++i) {
-                    for (int j = i + 1; j < nSlotW; ++j) {
-                        LBP_ASSERT(slotW[i].s != slotW[j].s ||
-                                       slotW[i].v == slotW[j].v,
-                                   "conflicting same-cycle slot-"
-                                   "predicate writes");
-                    }
-                    slotPred[slotW[i].s] = slotW[i].v;
-                }
-                for (int i = 0; i < nMemW; ++i)
-                    storeBytes(memW[i].op, memW[i].addr, memW[i].v);
-            }
+            bx.commit();
             if (sideTaken)
                 return bi + 1;
         }
@@ -737,7 +426,7 @@ VliwSim::replayResident(LoopCtx &ctx, const DecodedFunction &df,
     std::uint64_t sensIssued = 0;
     ReplayOutcome outcome;
     for (;;) {
-        sawControl = backTaken = backFell = false;
+        sawControl = backTaken = false;
         countedExit = wloopExit = sideTaken = false;
         const std::size_t ran = execIteration();
         bundlesExecuted_ += ran;
@@ -780,7 +469,6 @@ VliwSim::replayResident(LoopCtx &ctx, const DecodedFunction &df,
             outcome = ReplayOutcome::WloopExit;
             break;
         }
-        LBP_ASSERT(backFell, "replay iteration without a backedge");
         outcome = ReplayOutcome::BackedgeFellThrough;
         break;
     }

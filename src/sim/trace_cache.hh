@@ -5,15 +5,16 @@
  *
  * When the loop buffer reports a loop resident, the general decoded
  * path still re-walks the block table, re-checks fetch accounting and
- * re-dispatches every micro-op of every iteration. The trace cache
- * instead builds — once, at first replayed residency — a flattened
- * per-loop trace of the head-block bundles up to and including the
- * backedge, with per-op facts that are invariant for the whole
- * activation baked in (can the op ever be nullified; can the bundle
- * commit its writes directly), and then replays that trace whole
- * iteration after whole iteration, charging the per-iteration
- * counters once per iteration. Control is handed back to the general
- * path exactly at the bundle after the backedge (counted exit, while
+ * re-charges the issue counters bundle by bundle. The trace cache
+ * instead records — once, at first replayed residency — the loop's
+ * head-block bundle range up to and including the backedge, and then
+ * replays that range whole iteration after whole iteration, charging
+ * the per-iteration counters once per iteration. Replay is a fetch
+ * and control shortcut only: its data ops run through the same
+ * datapath as the general path (bundle_exec.hh), over the same
+ * decoded ops, with the static facts decode worked out (alwaysExec,
+ * direct, sensOps). Control is handed back to the general path
+ * exactly at the bundle after the backedge (counted exit, while
  * exit, or a nullified backedge falling through), at the EXEC resume
  * point, or at a taken side exit's target.
  *
@@ -141,27 +142,10 @@ struct TraceCacheStats
 void accumulateTraceCacheStats(TraceCacheStats &into,
                                const TraceCacheStats &from);
 
-/** One flattened bundle of a built trace. */
-struct TraceBundle
-{
-    std::uint32_t first = 0;    ///< into LoopTrace::ops
-    std::uint32_t count = 0;
-    std::int32_t sizeOps = 0;   ///< fetch size
-    /**
-     * Slot-sensitive ops in the bundle (0 in REGISTER mode), summed
-     * with sizeOps when a side exit ends an iteration mid-body.
-     */
-    std::int32_t sensOps = 0;
-    /**
-     * No op in the bundle reads register/predicate/slot state an
-     * earlier op in the same bundle writes (and no load follows a
-     * store), so writes can commit in place instead of through the
-     * two-phase deferred-write buffers.
-     */
-    bool direct = false;
-};
-
-/** A per-loop flattened replay trace. */
+/**
+ * A per-loop replay trace: a range of the decoded function's own
+ * bundles, not a copy of its ops.
+ */
 struct LoopTrace
 {
     enum class State : std::uint8_t
@@ -190,12 +174,12 @@ struct LoopTrace
      */
     bool predicated = false;
 
-    std::vector<MicroOp> ops;        ///< body ops, backedge included
-    std::vector<TraceBundle> bundles;///< head bundles 0..backedge
-    std::uint32_t beOpIndex = 0;     ///< the backedge's position in ops
+    std::uint32_t firstBundle = 0;   ///< head block's first df.bundles index
+    std::uint32_t bundleCount = 0;   ///< head bundles 0..backedge
+    std::uint32_t beOp = 0;          ///< the backedge's df.ops index
 
     std::uint64_t opsPerIter = 0;    ///< fetch-size sum per iteration
-    std::uint64_t sensitivePerIter = 0; ///< SLOT-mode sensitive ops
+    std::uint64_t sensitivePerIter = 0; ///< sensOps sum per iteration
 };
 
 struct LoopCtx;
@@ -215,7 +199,7 @@ TraceBailoutReason classifyTraceBody(const LoopCtx &ctx,
 class TraceCache
 {
   public:
-    TraceCache(std::size_t numLoops, bool slotMode);
+    explicit TraceCache(std::size_t numLoops);
 
     /**
      * The trace for @p ctx's loop, building it on first use. The
@@ -245,15 +229,12 @@ class TraceCache
     const TraceCacheStats &stats() const { return stats_; }
     TraceCacheStats &stats() { return stats_; }
 
-    bool slotMode() const { return slotMode_; }
-
   private:
     void build(LoopTrace &tr, const LoopCtx &ctx,
                const DecodedFunction &df);
 
     std::vector<LoopTrace> traces_;
     TraceCacheStats stats_;
-    bool slotMode_;
 };
 
 } // namespace lbp

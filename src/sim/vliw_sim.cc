@@ -124,9 +124,8 @@ VliwSim::VliwSim(const SchedProgram &code, const SimConfig &cfg,
         }
     }
     if (cfg_.engine == SimEngine::DECODED && traceCacheEnabled(cfg_))
-        traceCache_ = std::make_unique<TraceCache>(
-            loopTable_->keys.size(),
-            cfg_.predMode == PredMode::SLOT);
+        traceCache_ =
+            std::make_unique<TraceCache>(loopTable_->keys.size());
     slotPred_.fill(1);
 }
 

@@ -153,15 +153,14 @@ enum class TraceCacheMode
 
 /**
  * Counted loops engage replay only with at least this many iterations
- * left (the default for SimConfig::replayMinIters). A trace is a
- * second copy of the body's micro-ops, cold on every engagement after
- * the recording iteration warmed the decoded image; very short
- * activations (unrolled 2–3-trip kernels) pay that cold walk without
- * enough iterations to amortize it and replay slower than the general
- * path. While loops cannot know their trip count and always engage.
- * Tuned on the registry sweep: mpg123's 2-trip synthesis windows
- * regress ~2.5x ungated, the 5–7-trip mpeg2/jpeg kernels still win
- * gated at 4.
+ * left (the default for SimConfig::replayMinIters). While loops cannot
+ * know their trip count and always engage. Tuned on the registry
+ * sweep when a trace was a cold second copy of the body's micro-ops:
+ * mpg123's 2-trip synthesis windows regressed ~2.5x ungated, the
+ * 5–7-trip mpeg2/jpeg kernels still won gated at 4. Traces now replay
+ * the decoded image in place; the value also decides which
+ * activations replay, and so the trace-cache counters the bench
+ * baselines record.
  */
 constexpr std::int64_t kMinCountedReplayIters = 4;
 

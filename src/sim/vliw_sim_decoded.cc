@@ -1,14 +1,16 @@
 /**
  * @file
- * The decoded fast-path executor: semantically a line-for-line twin
- * of the reference interpreter in vliw_sim.cc, but running over the
+ * The decoded fast-path executor: semantically a twin of the
+ * reference interpreter in vliw_sim.cc, but running over the
  * predecoded MicroOp image (decoded.hh). Differences are strictly
  * mechanical:
  *
  *  - operands are pre-resolved (no OperandKind switch per read);
  *  - NOPs are gone, bundle fetch sizes are precomputed;
- *  - per-bundle deferred-write lists live in fixed stack arrays
- *    instead of freshly allocated vectors;
+ *  - data ops run through the datapath shared with trace replay
+ *    (bundle_exec.hh): bundles decode proved hazard-free commit in
+ *    place, the rest defer into fixed stack arrays instead of freshly
+ *    allocated vectors;
  *  - loop statistics are indexed by dense loop id (no map lookups);
  *  - range checks proven at predecode time are not re-checked;
  *  - no event-trace emission sites: a run with a trace sink uses the
@@ -21,7 +23,7 @@
 
 #include "sim/vliw_sim.hh"
 
-#include "ir/alu_ops.hh"
+#include "sim/bundle_exec.hh"
 #include "sim/decoded.hh"
 #include "sim/dispatch.hh"
 #include "sim/trace_cache.hh"
@@ -56,27 +58,7 @@ VliwSim::callFunctionDecoded(FuncId f,
     size_t curBu = 0;
 
     const bool slotMode = cfg_.predMode == PredMode::SLOT;
-
-    auto readSrc = [&](const XSrc &s) -> std::int64_t {
-        if (s.kind == XSrc::REG)
-            return regs[s.idx];
-        if (s.kind == XSrc::IMM)
-            return s.imm;
-        return preds[s.idx];
-    };
-
-    // Deferred writes for the two-phase bundle commit. Capacities are
-    // bounded by the issue width (checked at predecode): at most one
-    // register or memory write per op, two predicate/slot writes per
-    // predicate define.
-    struct RegWrite { std::int32_t r; std::int64_t v; };
-    struct PredWrite { std::int32_t p; std::uint8_t v; };
-    struct SlotWrite { std::int32_t s; std::uint8_t v; };
-    struct MemWrite { Opcode op; std::int64_t addr; std::int64_t v; };
-    RegWrite regW[Machine::width];
-    PredWrite predW[2 * Machine::width];
-    SlotWrite slotW[2 * Machine::width];
-    MemWrite memW[Machine::width];
+    BundleExec bx(regs, preds, slotPred_.data(), mem_, slotMode);
 
     LBP_DISPATCH_TABLE();
 
@@ -220,6 +202,8 @@ VliwSim::callFunctionDecoded(FuncId f,
         stats_.opsFetched += bu.sizeOps;
         if (fromBuffer)
             stats_.opsFromBuffer += bu.sizeOps;
+        if (slotMode)
+            stats_.opsSensitive += static_cast<std::uint64_t>(bu.sensOps);
         cycleStack_.charge(issueRow,
                            fromBuffer
                                ? obs::CycleClass::IssueFromBuffer
@@ -227,7 +211,7 @@ VliwSim::callFunctionDecoded(FuncId f,
                            1);
 
         // ---- Phase 1: evaluate ----
-        int nRegW = 0, nPredW = 0, nSlotW = 0, nMemW = 0;
+        bx.begin(bu);
 
         bool redirect = false;
         BlockId nextBlk = kNoBlock;
@@ -258,136 +242,25 @@ VliwSim::callFunctionDecoded(FuncId f,
         for (const MicroOp *m = opBase + bu.first,
                            *const end = m + bu.count;
              m != end; ++m) {
-            bool exec;
-            if (slotMode && m->sensitive) {
-                ++stats_.opsSensitive;
-                exec = slotPred_[m->slot] != 0;
-            } else {
-                exec = m->guard == kNoPred || preds[m->guard] != 0;
-            }
-            if (!exec && m->op != Opcode::PRED_DEF) {
-                ++stats_.opsNullified;
-                if (isBranch(m->op)) {
-                    ++stats_.branches;
-                }
+            const bool g = bx.guard(*m);
+            if (BundleExec::nullified(*m, g, stats_))
                 continue;
-            }
 
             LBP_DISPATCH(m->handler) {
-              LBP_HANDLER(PRED_DEF) {
-                // The guard is an input to the define (Table 2).
-                bool g;
-                if (slotMode && m->sensitive) {
-                    g = slotPred_[m->slot] != 0;
-                } else if (m->guard != kNoPred) {
-                    g = preds[m->guard] != 0;
-                } else {
-                    g = true;
-                }
-                const std::int64_t a = readSrc(m->src[0]);
-                const std::int64_t b = readSrc(m->src[1]);
-                const bool c = evalCond(m->cond, a, b);
-                auto apply = [&](PredDefKind k, std::uint8_t dKind,
-                                 std::int32_t dIdx) {
-                    if (k == PredDefKind::NONE || dKind == 0)
-                        return;
-                    int w = -1;
-                    switch (k) {
-                      case PredDefKind::UT: w = g ? (c ? 1 : 0) : 0;
-                        break;
-                      case PredDefKind::UF: w = g ? (c ? 0 : 1) : 0;
-                        break;
-                      case PredDefKind::OT: if (g && c) w = 1; break;
-                      case PredDefKind::OF: if (g && !c) w = 1; break;
-                      case PredDefKind::AT: if (g && !c) w = 0; break;
-                      case PredDefKind::AF: if (g && c) w = 0; break;
-                      case PredDefKind::CT: if (g) w = c; break;
-                      case PredDefKind::CF: if (g) w = !c; break;
-                      default: LBP_PANIC("bad def kind");
-                    }
-                    if (w < 0)
-                        return;
-                    if (dKind == 2) {
-                        slotW[nSlotW++] =
-                            {dIdx, static_cast<std::uint8_t>(w)};
-                    } else {
-                        predW[nPredW++] =
-                            {dIdx, static_cast<std::uint8_t>(w)};
-                    }
-                };
-                apply(m->k0, m->pdKind0, m->pdIdx0);
-                apply(m->k1, m->pdKind1, m->pdIdx1);
-                LBP_NEXT_OP;
-              }
-
-              LBP_HANDLER(LOAD) {
-                const std::int64_t addr =
-                    readSrc(m->src[0]) + readSrc(m->src[1]);
-                const size_t need = m->op == Opcode::LD_B ? 1
-                                    : m->op == Opcode::LD_H ? 2 : 4;
-                std::int64_t v = 0;
-                const bool oob =
-                    addr < 0 ||
-                    static_cast<size_t>(addr) + need > mem_.size();
-                if (oob) {
-                    LBP_ASSERT(m->speculative,
-                               "non-speculative load fault @", addr);
-                    v = 0;
-                } else {
-                    std::uint32_t raw = 0;
-                    for (size_t i = 0; i < need; ++i) {
-                        raw |= static_cast<std::uint32_t>(
-                                   mem_[addr + i]) << (8 * i);
-                    }
-                    v = m->op == Opcode::LD_B
-                            ? static_cast<std::int8_t>(raw)
-                        : m->op == Opcode::LD_H
-                            ? static_cast<std::int16_t>(raw)
-                            : static_cast<std::int32_t>(raw);
-                }
-                regW[nRegW++] = {m->dstReg, v};
-                LBP_NEXT_OP;
-              }
-
-              LBP_HANDLER(STORE) {
-                const std::int64_t addr =
-                    readSrc(m->src[0]) + readSrc(m->src[1]);
-                memW[nMemW++] = {m->op, addr, readSrc(m->src[2])};
-                LBP_NEXT_OP;
-              }
-
-              LBP_HANDLER(MOV) {
-                regW[nRegW++] = {m->dstReg, readSrc(m->src[0])};
-                LBP_NEXT_OP;
-              }
-              LBP_HANDLER(ABS) {
-                regW[nRegW++] = {m->dstReg, wrapAbs(readSrc(m->src[0]))};
-                LBP_NEXT_OP;
-              }
-              LBP_HANDLER(ITOF) {
-                regW[nRegW++] = {m->dstReg,
-                                 asBits(static_cast<double>(
-                                     readSrc(m->src[0])))};
-                LBP_NEXT_OP;
-              }
-              LBP_HANDLER(FTOI) {
-                regW[nRegW++] = {m->dstReg,
-                                 ftoi(asDouble(readSrc(m->src[0])))};
-                LBP_NEXT_OP;
-              }
-              LBP_HANDLER(SELECT) {
-                const std::int64_t c = readSrc(m->src[0]);
-                regW[nRegW++] = {m->dstReg,
-                                 c ? readSrc(m->src[1])
-                                   : readSrc(m->src[2])};
-                LBP_NEXT_OP;
-              }
+              LBP_HANDLER(PRED_DEF) { bx.predDef(*m, g); LBP_NEXT_OP; }
+              LBP_HANDLER(LOAD) { bx.load(*m); LBP_NEXT_OP; }
+              LBP_HANDLER(STORE) { bx.store(*m); LBP_NEXT_OP; }
+              LBP_HANDLER(MOV) { bx.mov(*m); LBP_NEXT_OP; }
+              LBP_HANDLER(ABS) { bx.abs(*m); LBP_NEXT_OP; }
+              LBP_HANDLER(ITOF) { bx.itof(*m); LBP_NEXT_OP; }
+              LBP_HANDLER(FTOI) { bx.ftoi(*m); LBP_NEXT_OP; }
+              LBP_HANDLER(SELECT) { bx.select(*m); LBP_NEXT_OP; }
+              LBP_HANDLER(ALU) { bx.alu(*m); LBP_NEXT_OP; }
 
               LBP_HANDLER(BR) {
                 ++stats_.branches;
-                const std::int64_t a = readSrc(m->src[0]);
-                const std::int64_t b = readSrc(m->src[1]);
-                const bool taken = evalCond(m->cond, a, b);
+                const bool taken = evalCond(m->cond, bx.read(m->src[0]),
+                                            bx.read(m->src[1]));
                 const bool isWloopBack =
                     m->op == Opcode::BR_WLOOP && !loopStack.empty() &&
                     !loopStack.back().counted &&
@@ -485,7 +358,7 @@ VliwSim::callFunctionDecoded(FuncId f,
                 ctx.loopId = m->loopId;
                 ctx.counted = m->counted;
                 if (ctx.counted) {
-                    ctx.remaining = readSrc(m->src[0]);
+                    ctx.remaining = bx.read(m->src[0]);
                     LBP_ASSERT(ctx.remaining >= 1,
                                "cloop with count ", ctx.remaining);
                 }
@@ -497,7 +370,6 @@ VliwSim::callFunctionDecoded(FuncId f,
                 ctx.buffered = m->bufAddr >= 0;
                 LoopStats &ls = stats_.loops[m->loopId];
                 ++ls.activations;
-                bool recorded = false;
                 if (ctx.buffered) {
                     if (buffer_.isResident(ctx.key)) {
                         buffer_.countTableHit();
@@ -515,10 +387,7 @@ VliwSim::callFunctionDecoded(FuncId f,
                         }
                         ++ls.recordings;
                         ctx.fromBuffer = false;
-                        recorded = true;
                     }
-                }
-                if (recorded) {
                 }
                 if (m->op == Opcode::EXEC_CLOOP ||
                     m->op == Opcode::EXEC_WLOOP) {
@@ -545,45 +414,12 @@ VliwSim::callFunctionDecoded(FuncId f,
                 retOp = m;
                 LBP_NEXT_OP;
               }
-
-              LBP_HANDLER(ALU) {
-                regW[nRegW++] = {m->dstReg,
-                                 evalBinaryAlu(m->op, m->cond,
-                                               readSrc(m->src[0]),
-                                               readSrc(m->src[1]))};
-                LBP_NEXT_OP;
-              }
             }
             LBP_DISPATCH_END;
         }
 
         // ---- Phase 2: commit ----
-        for (int i = 0; i < nRegW; ++i)
-            regs[regW[i].r] = regW[i].v;
-        for (int i = 0; i < nPredW; ++i)
-            preds[predW[i].p] = predW[i].v;
-        for (int i = 0; i < nSlotW; ++i) {
-            for (int j = i + 1; j < nSlotW; ++j) {
-                LBP_ASSERT(slotW[i].s != slotW[j].s ||
-                               slotW[i].v == slotW[j].v,
-                           "conflicting same-cycle slot-predicate "
-                           "writes");
-            }
-            slotPred_[slotW[i].s] = slotW[i].v;
-        }
-        for (int i = 0; i < nMemW; ++i) {
-            const MemWrite &w = memW[i];
-            const size_t need = w.op == Opcode::ST_B ? 1
-                                : w.op == Opcode::ST_H ? 2 : 4;
-            LBP_ASSERT(w.addr >= 0 &&
-                           static_cast<size_t>(w.addr) + need <=
-                               mem_.size(),
-                       "store fault @", w.addr);
-            for (size_t k = 0; k < need; ++k) {
-                mem_[w.addr + k] = static_cast<std::uint8_t>(
-                    (w.v >> (8 * k)) & 0xff);
-            }
-        }
+        bx.commit();
 
         // Call/return (serialize: the call is the bundle's transfer).
         if (retOp) {
@@ -591,7 +427,7 @@ VliwSim::callFunctionDecoded(FuncId f,
             rets.reserve(retOp->xsrcCount);
             for (std::uint32_t i = 0; i < retOp->xsrcCount; ++i)
                 rets.push_back(
-                    readSrc(dp.extraSrcs[retOp->xsrcBegin + i]));
+                    bx.read(dp.extraSrcs[retOp->xsrcBegin + i]));
             // Returning with live loop contexts would corrupt the
             // caller's hardware loop stack.
             LBP_ASSERT(loopStack.empty(),
@@ -606,7 +442,7 @@ VliwSim::callFunctionDecoded(FuncId f,
             cargs.reserve(callOp->xsrcCount);
             for (std::uint32_t i = 0; i < callOp->xsrcCount; ++i)
                 cargs.push_back(
-                    readSrc(dp.extraSrcs[callOp->xsrcBegin + i]));
+                    bx.read(dp.extraSrcs[callOp->xsrcBegin + i]));
             chargeRedirect(obs::CycleClass::CallReturnPenalty, -1);
             auto rets =
                 callFunctionDecoded(callOp->callee, cargs);

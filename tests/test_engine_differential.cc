@@ -4,14 +4,19 @@
  * behaviorally indistinguishable from the reference interpreter —
  * every field of SimStats, including the per-loop counter vectors —
  * for every registry workload, under both predication
- * micro-architectures, at several buffer sizes.
+ * micro-architectures, at several buffer sizes — and on hand-patched
+ * loops whose bundles read their own same-cycle writes, which pin the
+ * decode-time proof behind in-place bundle commit.
  */
 
 #include <gtest/gtest.h>
 
 #include "core/compiler.hh"
+#include "ir/builder.hh"
 #include "obs/cycle_stack.hh"
 #include "obs/publish.hh"
+#include "sim/decoded.hh"
+#include "sim/trace_cache.hh"
 #include "sim/vliw_sim.hh"
 #include "workloads/registry.hh"
 
@@ -194,6 +199,232 @@ INSTANTIATE_TEST_SUITE_P(
     }()),
     [](const ::testing::TestParamInfo<std::string> &info) {
         return info.param;
+    });
+
+// ---- Same-bundle hazards: the decode-time direct-commit proof ------
+//
+// A bundle whose DecodedBundle::direct is set commits every write in
+// place, on the general path and in trace replay alike. These tests
+// pin the proof on hand-patched resident loops: each hazard bundle
+// must decode as deferred and still match the reference engine
+// (whose two-phase commit is the specification) with the trace cache
+// on and off; the same ops in a hazard-free order decode as direct.
+
+enum class Hazard
+{
+    RegAfterWrite,    ///< a register read after a same-bundle write
+    GuardAfterDefine, ///< a guard predicate defined earlier
+    SlotAfterDefine,  ///< a slot read after a slot define
+    LoadAfterStore,   ///< a load after a store
+    TwoSlotWrites,    ///< two slot-predicate writes
+};
+
+const char *
+hazardName(Hazard h)
+{
+    switch (h) {
+      case Hazard::RegAfterWrite: return "RegAfterWrite";
+      case Hazard::GuardAfterDefine: return "GuardAfterDefine";
+      case Hazard::SlotAfterDefine: return "SlotAfterDefine";
+      case Hazard::LoadAfterStore: return "LoadAfterStore";
+      case Hazard::TwoSlotWrites: return "TwoSlotWrites";
+    }
+    return "?";
+}
+
+/**
+ * A 40-trip counted loop compiled at the Traditional level, then
+ * patched: bundle 0 of the loop's head block gets the ops of @p h
+ * (reader after writer when @p hazardous, writer after reader
+ * otherwise), followed by a fresh counter k += 1, and the head's
+ * bundle 1 stores what the hazard produced into the checksum region.
+ * Every value read in the hazard depends on k, so reading this
+ * iteration's write instead of the last iteration's changes the
+ * checksum or the nullification count. Returns the head block
+ * (kNoBlock, with a test failure, when there is nothing to patch).
+ */
+BlockId
+hazardLoop(Hazard h, bool hazardous, CompileResult &cr)
+{
+    Program prog;
+    const auto data = prog.allocData(64);
+    prog.checksumBase = data;
+    prog.checksumSize = 64;
+    const FuncId f = prog.newFunction("main");
+    prog.entryFunc = f;
+    {
+        IRBuilder b(prog, f);
+        const RegId acc = b.iconst(0);
+        b.forLoop(0, 40, 1, [&](RegId i) {
+            b.addTo(acc, Operand::reg(acc), Operand::reg(i));
+            for (int p = 0; p < 4; ++p)
+                b.binTo(Opcode::XOR, acc, Operand::reg(acc),
+                        Operand::imm(p * 3 + 1));
+        });
+        b.storeW(Operand::imm(data), Operand::imm(0), Operand::reg(acc));
+        b.ret({Operand::reg(acc)});
+    }
+    CompileOptions opts;
+    opts.level = OptLevel::Traditional;
+    opts.bufferOps = 256;
+    compileProgram(prog, opts, cr);
+
+    Function &fn = cr.ir.functions[cr.ir.entryFunc];
+    SchedFunction &sf = cr.code.functions[cr.ir.entryFunc];
+    BlockId head = kNoBlock;
+    for (std::size_t b = 0; b < sf.blocks.size(); ++b)
+        for (const Bundle &bu : sf.blocks[b].bundles)
+            for (const SchedOp &so : bu.ops)
+                if (so.op.op == Opcode::BR_CLOOP &&
+                    so.op.target == static_cast<BlockId>(b))
+                    head = static_cast<BlockId>(b);
+    EXPECT_NE(head, kNoBlock) << "no resident counted loop";
+    if (head == kNoBlock)
+        return kNoBlock;
+    std::vector<Bundle> &bundles = sf.blocks[head].bundles;
+    EXPECT_GE(bundles.size(), 2u) << "loop body too short to patch";
+    if (bundles.size() < 2)
+        return kNoBlock;
+
+    // Free issue slots of bundle 0, for the ops that need one.
+    std::vector<int> freeSlots;
+    for (int s = Machine::width - 1; s >= 0; --s) {
+        bool used = false;
+        for (const SchedOp &so : bundles[0].ops)
+            used = used || so.slot == s;
+        if (!used)
+            freeSlots.push_back(s);
+    }
+    auto takeSlot = [&]() {
+        EXPECT_FALSE(freeSlots.empty()) << "bundle 0 is full";
+        const int s = freeSlots.empty() ? 0 : freeSlots.back();
+        if (!freeSlots.empty())
+            freeSlots.pop_back();
+        return s;
+    };
+
+    const RegId k = fn.newReg();
+    const RegId out = fn.newReg();
+    auto R = [](RegId r) { return Operand::reg(r); };
+    auto I = [](std::int64_t v) { return Operand::imm(v); };
+    auto slotDef = [&](int slot, Operand a, Operand b) {
+        Operation def = makePredDef(PredDefKind::UT, 1, PredDefKind::NONE,
+                                    0, CmpCond::LT, a, b);
+        def.dsts = {Operand::slot(slot)};
+        return def;
+    };
+    std::vector<SchedOp> writer, reader;
+    switch (h) {
+      case Hazard::RegAfterWrite: {
+        const RegId t = fn.newReg();
+        writer.push_back({makeBinary(Opcode::ADD, t, R(k), I(100))});
+        reader.push_back({makeUnary(Opcode::MOV, out, R(t))});
+        break;
+      }
+      case Hazard::GuardAfterDefine: {
+        const PredId p = fn.newPred();
+        writer.push_back({makePredDef(PredDefKind::UT, p,
+                                      PredDefKind::NONE, 0,
+                                      CmpCond::LT, R(k), I(20))});
+        Operation mov = makeUnary(Opcode::MOV, out, R(k));
+        mov.guard = p;
+        reader.push_back({mov});
+        break;
+      }
+      case Hazard::SlotAfterDefine: {
+        const int slot = takeSlot();
+        writer.push_back({slotDef(slot, R(k), I(20)), takeSlot()});
+        Operation mov = makeUnary(Opcode::MOV, out, R(k));
+        mov.sensitive = true;
+        reader.push_back({mov, slot});
+        break;
+      }
+      case Hazard::LoadAfterStore:
+        writer.push_back({makeStore(Opcode::ST_W, I(data + 32), I(0),
+                                    R(k))});
+        reader.push_back({makeLoad(Opcode::LD_W, out, I(data + 32),
+                                   I(0))});
+        break;
+      case Hazard::TwoSlotWrites:
+        // Two defines of slots that stay 1 (0 < 1): nothing to
+        // observe, but the deferred commit keeps the same-cycle
+        // conflict check, so the bundle must not decode as direct.
+        writer.push_back({slotDef(takeSlot(), I(0), I(1)), takeSlot()});
+        if (hazardous)
+            reader.push_back(
+                {slotDef(takeSlot(), I(0), I(1)), takeSlot()});
+        break;
+    }
+    std::vector<SchedOp> &ops0 = bundles[0].ops;
+    const std::vector<SchedOp> &first = hazardous ? writer : reader;
+    const std::vector<SchedOp> &second = hazardous ? reader : writer;
+    ops0.insert(ops0.end(), first.begin(), first.end());
+    ops0.insert(ops0.end(), second.begin(), second.end());
+    ops0.push_back({makeBinary(Opcode::ADD, k, R(k), I(1))});
+    EXPECT_LE(ops0.size(), static_cast<std::size_t>(Machine::width));
+    bundles[1].ops.push_back(
+        {makeStore(Opcode::ST_W, I(data + 8), I(0), R(out))});
+    cr.code.link();
+    return head;
+}
+
+class SameBundleHazard : public ::testing::TestWithParam<Hazard>
+{
+};
+
+TEST_P(SameBundleHazard, DirectProofPinnedOnBothDrivers)
+{
+    for (const bool hazardous : {true, false}) {
+        const std::string what =
+            std::string(hazardName(GetParam())) +
+            (hazardous ? " (hazard order)" : " (safe order)");
+        CompileResult cr;
+        const BlockId head = hazardLoop(GetParam(), hazardous, cr);
+        ASSERT_NE(head, kNoBlock) << what;
+
+        // The decode verdict for every bundle of the loop body: only
+        // the patched bundle 0, and only in hazard order, defers.
+        const DecodedImage img = buildDecodedImage(cr.code);
+        const DecodedFunction &df =
+            img.program.functions[cr.ir.entryFunc];
+        const DecodedBlock &db = df.blocks[head];
+        for (std::uint32_t bi = 0; bi < db.bundleCount; ++bi)
+            EXPECT_EQ(df.bundles[db.firstBundle + bi].direct,
+                      !(hazardous && bi == 0))
+                << what << ": bundle " << bi;
+
+        SimConfig sc;
+        sc.bufferOps = 256;
+        sc.engine = SimEngine::REFERENCE;
+        VliwSim refSim(cr.code, sc);
+        const SimStats ref = refSim.run();
+        sc.engine = SimEngine::DECODED;
+        sc.traceCache = TraceCacheMode::On;
+        VliwSim onSim(cr.code, sc);
+        const SimStats on = onSim.run();
+        sc.traceCache = TraceCacheMode::Off;
+        VliwSim offSim(cr.code, sc);
+        const SimStats off = offSim.run();
+
+        // The replay driver really ran the patched bundle.
+        ASSERT_NE(onSim.traceCacheStats(), nullptr);
+        EXPECT_GT(onSim.traceCacheStats()->replayedIterations, 30u)
+            << what;
+        expectIdentical(ref, on, what + " cache=on");
+        expectIdentical(ref, off, what + " cache=off");
+        expectCollapsedStacksEqual(refSim, onSim, what + " ref vs on");
+        expectCollapsedStacksEqual(refSim, offSim,
+                                   what + " ref vs off");
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllHazards, SameBundleHazard,
+    ::testing::Values(Hazard::RegAfterWrite, Hazard::GuardAfterDefine,
+                      Hazard::SlotAfterDefine, Hazard::LoadAfterStore,
+                      Hazard::TwoSlotWrites),
+    [](const ::testing::TestParamInfo<Hazard> &info) {
+        return std::string(hazardName(info.param));
     });
 
 } // namespace

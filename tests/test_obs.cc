@@ -11,7 +11,10 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <sstream>
+
+#include <unistd.h>
 
 #include "core/compiler.hh"
 #include "ir/builder.hh"
@@ -338,6 +341,15 @@ TEST(ObsTrace, ClearResetsEverything)
     EXPECT_EQ(sink.size(), 0u);
     EXPECT_EQ(sink.countOf(TraceKind::Fetch), 0u);
     EXPECT_EQ(sink.sumA(TraceKind::Fetch), 0);
+
+    // A cleared ring refills and wraps exactly like a fresh one.
+    for (std::uint64_t c = 0; c < 11; ++c)
+        sink.emit(TraceKind::BufHit, c, 0, 1, 0);
+    const auto ev = sink.snapshot();
+    ASSERT_EQ(ev.size(), 8u);
+    for (std::size_t i = 0; i < ev.size(); ++i)
+        EXPECT_EQ(ev[i].cycle, 3 + i);
+    EXPECT_EQ(sink.dropped(), 3u);
 }
 
 // ----------------------------------------- whole-trace on real loops
@@ -510,6 +522,45 @@ TEST(ObsTrace, TracedDecodedConfigRunsReferenceEngine)
                       traced.cycleStack().row(row)))
             << "collapsed cycle stacks diverge at row " << row;
     }
+}
+
+/** Resident set size of this process in KiB (Linux). */
+long
+residentKb()
+{
+    std::ifstream statm("/proc/self/statm");
+    long pages = 0, resident = 0;
+    statm >> pages >> resident;
+    return resident * (sysconf(_SC_PAGESIZE) / 1024);
+}
+
+TEST(ObsTrace, LargeCapacityRingGrowsOnDemand)
+{
+    // A 10M-event ring is 320 MB of slots. A short traced run must
+    // cost what it records, not the capacity (the current RSS is
+    // measured, so an earlier peak in the same process cannot hide
+    // an up-front allocation).
+    Program prog = loopProgram(30, 3);
+    CompileOptions opts;
+    opts.level = OptLevel::Traditional;
+    CompileResult cr;
+    compileProgram(prog, opts, cr);
+
+    const long before = residentKb();
+    ASSERT_GT(before, 0) << "cannot read /proc/self/statm";
+    obs::TraceSink sink(10'000'000);
+    SimConfig sc;
+    sc.bufferOps = 64;
+    sc.trace = &sink;
+    VliwSim(cr.code, sc).run();
+    const long grownKb = residentKb() - before;
+
+    EXPECT_GT(sink.size(), 0u);
+    EXPECT_LT(sink.size(), 10'000u);
+    EXPECT_EQ(sink.dropped(), 0u);
+    EXPECT_LT(grownKb, 32 * 1024)
+        << "a short run in a 10M-event ring grew RSS by " << grownKb
+        << " KiB";
 }
 
 TEST(ObsTrace, NullSinkDoesNotPerturbStats)

@@ -360,34 +360,38 @@ TEST(TraceCache, BackedgeGuardKeptInPredicatedTrace)
     // The compiler never emits a guarded backedge today, so the build
     // contract is pinned on a hand-assembled image fed straight to the
     // cache: the guarded body builds a Ready trace counted as
-    // predicated, with the backedge in the op stream and its guard
-    // left to be read at replay.
+    // predicated, whose bundle range covers the backedge, with the
+    // backedge's guard left to be read at replay.
     DecodedFunction df = makeLoopBody({aluOp()});
     df.ops.back().guard = 1;
     const LoopCtx ctx = headLoopCtx();
 
-    TraceCache tc(1, /*slotMode=*/false);
+    TraceCache tc(1);
     LoopTrace &tr = tc.acquire(ctx, df);
     EXPECT_EQ(tr.state, LoopTrace::State::Ready);
     EXPECT_TRUE(tr.predicated);
-    ASSERT_EQ(tr.ops.size(), 2u);
-    EXPECT_EQ(tr.beOpIndex, 1u);
-    EXPECT_EQ(tr.ops[tr.beOpIndex].op, Opcode::BR_CLOOP);
-    EXPECT_FALSE(tr.ops[tr.beOpIndex].alwaysExec);
+    EXPECT_EQ(tr.firstBundle, 0u);
+    ASSERT_EQ(tr.bundleCount, 2u);
+    EXPECT_EQ(tr.beOp, 1u);
+    const DecodedBundle &last = df.bundles[tr.firstBundle + 1];
+    EXPECT_GE(tr.beOp, last.first);
+    EXPECT_LT(tr.beOp, last.first + last.count);
+    EXPECT_EQ(df.ops[tr.beOp].op, Opcode::BR_CLOOP);
+    EXPECT_FALSE(df.ops[tr.beOp].alwaysExec);
     EXPECT_EQ(tc.stats().builds, 1u);
     EXPECT_EQ(tc.stats().predReplay.builds, 1u);
 
-    // An unguarded straight body has the same trace format — the
-    // backedge stays in the stream, always executing — but is not
-    // counted as predicated.
+    // An unguarded straight body has the same trace shape — the
+    // backedge stays in the replayed range — but is not counted as
+    // predicated.
     DecodedFunction plain = makeLoopBody({aluOp()});
-    TraceCache plainTc(1, /*slotMode=*/false);
+    TraceCache plainTc(1);
     LoopTrace &tp = plainTc.acquire(ctx, plain);
     EXPECT_EQ(tp.state, LoopTrace::State::Ready);
     EXPECT_FALSE(tp.predicated);
-    ASSERT_EQ(tp.ops.size(), 2u);
-    EXPECT_EQ(tp.beOpIndex, 1u);
-    EXPECT_TRUE(tp.ops[tp.beOpIndex].alwaysExec);
+    ASSERT_EQ(tp.bundleCount, 2u);
+    EXPECT_EQ(tp.beOp, 1u);
+    EXPECT_EQ(plain.ops[tp.beOp].op, Opcode::BR_CLOOP);
     EXPECT_EQ(plainTc.stats().builds, 1u);
     EXPECT_EQ(plainTc.stats().predReplay.builds, 0u);
 }

@@ -23,7 +23,8 @@
  *
  * Options:
  *   --level=aggressive|traditional   compile configuration
- *   --buffer=N                       loop buffer size in ops (256)
+ *   --buffer=N                       loop buffer size in ops (256;
+ *                                    0..1048576)
  *   --engine=decoded|reference       simulator engine (decoded);
  *                                    `trace` always simulates on
  *                                    reference, the engine that
@@ -48,16 +49,20 @@
  *                                    cycle stack table
  *   --keep=N                         `history prune` retention per
  *                                    source
- *   --hz=N --reps=N                  `prof` sampling rate / workload
- *                                    repetitions (reps=0 sizes the
- *                                    run for a stable sample count;
- *                                    `pmu` defaults to 3 reps)
+ *   --hz=N --reps=N                  `prof` sampling rate (1..100000)
+ *                                    / workload repetitions (reps=0
+ *                                    sizes the run for a stable
+ *                                    sample count; `pmu` defaults to
+ *                                    3 reps)
  *   --cpi                            `explain` also joins the two
  *                                    documents' host "pmu" blocks:
  *                                    host per-region IPC and branch
  *                                    miss movement next to the
  *                                    simulated cycle delta
  *   --verbose                        `history check` prints every key
+ *
+ * Every numeric flag must be one whole base-10 number inside its
+ * range; anything else exits 2 naming the flag and the value.
  *
  * `trace` cross-checks the trace against the registry before writing:
  * the sum of ops carried by buffer-hit events must equal the run's
@@ -73,16 +78,20 @@
 
 #include <algorithm>
 #include <array>
+#include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/compiler.hh"
@@ -105,6 +114,16 @@ namespace
 {
 
 using namespace lbp;
+
+/**
+ * Largest accepted --buffer: far above any buffer the paper sizes,
+ * and small enough that buffer-size arithmetic (bytes, addresses)
+ * stays inside int.
+ */
+constexpr int kMaxBufferOps = 1 << 20;
+
+/** Largest accepted --hz: a 10 us sampling interval. */
+constexpr unsigned kMaxHz = 100'000;
 
 struct Options
 {
@@ -166,9 +185,41 @@ usage()
     return 2;
 }
 
+/**
+ * The one parser behind every numeric flag: all of @p text must be a
+ * single base-10 number (finite, for a real) in [@p lo, @p hi]. On
+ * anything else it names the flag and the rejected value on stderr
+ * and returns false, which main() turns into exit 2.
+ */
+template <class T>
+bool
+parseNumber(const char *flag, const char *text, T lo, T hi, T &out)
+{
+    const char *const end = text + std::strlen(text);
+    T v{};
+    const auto [ptr, ec] = std::from_chars(text, end, v);
+    bool ok = ec == std::errc() && ptr == end && v >= lo && v <= hi;
+    if constexpr (std::is_floating_point_v<T>)
+        ok = ok && std::isfinite(v);
+    if (ok) {
+        out = v;
+        return true;
+    }
+    std::cerr << "invalid " << flag << " value '" << text
+              << "': expected "
+              << (std::is_floating_point_v<T> ? "a number" : "an integer");
+    if (hi == std::numeric_limits<T>::max())
+        std::cerr << " >= " << lo << "\n";
+    else
+        std::cerr << " in [" << lo << ", " << hi << "]\n";
+    return false;
+}
+
 bool
 parseArgs(int argc, char **argv, Options &o)
 {
+    constexpr int kIntMax = std::numeric_limits<int>::max();
+    constexpr double kRealMax = std::numeric_limits<double>::max();
     if (argc < 2)
         return false;
     o.command = argv[1];
@@ -193,7 +244,9 @@ parseArgs(int argc, char **argv, Options &o)
                 return false;
             }
         } else if (const char *v2 = val("--buffer")) {
-            o.bufferOps = std::atoi(v2);
+            if (!parseNumber("--buffer", v2, 0, kMaxBufferOps,
+                             o.bufferOps))
+                return false;
         } else if (const char *v3 = val("--engine")) {
             const std::string s = v3;
             if (s == "decoded") {
@@ -211,27 +264,37 @@ parseArgs(int argc, char **argv, Options &o)
         } else if (const char *v6 = val("--out")) {
             o.outPath = v6;
         } else if (const char *v7 = val("--sample")) {
-            o.sample = std::strtoull(v7, nullptr, 10);
-            if (o.sample == 0)
-                o.sample = 1;
+            if (!parseNumber<std::uint64_t>(
+                    "--sample", v7, 1,
+                    std::numeric_limits<std::uint64_t>::max(),
+                    o.sample))
+                return false;
         } else if (const char *v8 = val("--capacity")) {
-            o.capacity = std::strtoull(v8, nullptr, 10);
-            if (o.capacity == 0)
-                o.capacity = 1;
+            if (!parseNumber<std::size_t>(
+                    "--capacity", v8, 1,
+                    std::numeric_limits<std::size_t>::max(),
+                    o.capacity))
+                return false;
         } else if (const char *v9 = val("--history")) {
             o.historyPath = v9;
         } else if (const char *v10 = val("--source")) {
             o.source = v10;
         } else if (const char *v11 = val("--window")) {
-            o.policy.window = std::atoi(v11);
-            if (o.policy.window < 1)
-                o.policy.window = 1;
+            if (!parseNumber("--window", v11, 1, kIntMax,
+                             o.policy.window))
+                return false;
         } else if (const char *v12 = val("--rel")) {
-            o.policy.relTol = std::atof(v12);
+            if (!parseNumber("--rel", v12, 0.0, kRealMax,
+                             o.policy.relTol))
+                return false;
         } else if (const char *v13 = val("--abs")) {
-            o.policy.absTol = std::atof(v13);
+            if (!parseNumber("--abs", v13, 0.0, kRealMax,
+                             o.policy.absTol))
+                return false;
         } else if (const char *v14 = val("--madk")) {
-            o.policy.madK = std::atof(v14);
+            if (!parseNumber("--madk", v14, 0.0, kRealMax,
+                             o.policy.madK))
+                return false;
         } else if (const char *v15 = val("--sort")) {
             o.sort = v15;
             if (o.sort != "ops" && o.sort != "gain" &&
@@ -243,15 +306,14 @@ parseArgs(int argc, char **argv, Options &o)
                 return false;
             }
         } else if (const char *v16 = val("--hz")) {
-            o.hz = static_cast<unsigned>(std::atoi(v16));
-            if (o.hz == 0)
-                o.hz = 1;
+            if (!parseNumber("--hz", v16, 1u, kMaxHz, o.hz))
+                return false;
         } else if (const char *v17 = val("--reps")) {
-            o.reps = std::atoi(v17);
-            if (o.reps < 1)
-                o.reps = 1;
+            if (!parseNumber("--reps", v17, 0, kIntMax, o.reps))
+                return false;
         } else if (const char *v18 = val("--keep")) {
-            o.keep = std::atoi(v18);
+            if (!parseNumber("--keep", v18, 1, kIntMax, o.keep))
+                return false;
         } else if (arg == "--cycles") {
             o.cycles = true;
         } else if (arg == "--cpi") {
