@@ -107,6 +107,13 @@ LBP_SIM_NO_TRACE_CACHE=1 \
     "$SAN_BUILD"/tests/lbp_sim_tests \
     --gtest_filter='*EngineDifferential*:AllHazards/SameBundleHazard.*' \
     --gtest_brief=1
+# The accountant differential under ASan+UBSan: buffer-size sweeps
+# over one shared image (recording, self-check and accountant) against
+# full runs on fresh images, on generated programs and every workload
+# at every Figure-7 and buffer_curve size.
+"$SAN_BUILD"/tests/lbp_tests \
+    --gtest_filter='Fuzz/SizeSweep.*:AllWorkloads/AccountantSweep.*' \
+    --gtest_brief=1
 # Profiler under ASan, by name: live sampling with concurrent region
 # markers (the SIGPROF handler's single-writer discipline).
 "$SAN_BUILD"/tests/lbp_obs_tests \

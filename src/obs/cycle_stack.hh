@@ -117,6 +117,8 @@ class CycleStack
 
     std::size_t numRows() const { return rows_.size(); }
 
+    bool operator==(const CycleStack &o) const { return rows_ == o.rows_; }
+
     /** Row for @p loopRow (-1 = outside any loop). */
     const CycleRow &row(int loopRow) const
     {

@@ -54,6 +54,7 @@ regionName(Region r)
       case Region::TraceBuild: return "traceBuild";
       case Region::SimReference: return "simReference";
       case Region::Bench: return "bench";
+      case Region::SimAccount: return "simAccount";
       case Region::Count: break;
     }
     return "untracked";

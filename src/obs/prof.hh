@@ -59,6 +59,7 @@ enum class Region : std::uint8_t
     TraceBuild,   ///< trace-cache build + gating
     SimReference, ///< reference interpreter
     Bench,        ///< bench / CLI driver harness
+    SimAccount,   ///< activation-stream accountant (no execution)
     Count,        ///< first dynamic (interned) id
 };
 

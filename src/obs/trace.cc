@@ -166,7 +166,17 @@ writeChromeTrace(std::ostream &os, const TraceSink &sink,
         return "loop" + std::to_string(id);
     };
 
-    Json trace = Json::array();
+    // The document is written as it is produced: the header, each
+    // event as a small Json object, then the footer. The layout is
+    // exactly what Json::write gives the whole document (one array
+    // element per line at indent 2), without holding it in memory.
+    os << "{\n  \"traceEvents\": [";
+    bool firstEvent = true;
+    auto emit = [&](const Json &e) {
+        os << (firstEvent ? "\n    " : ",\n    ");
+        firstEvent = false;
+        e.write(os, 2);
+    };
 
     {
         Json proc = Json::object();
@@ -176,10 +186,10 @@ writeChromeTrace(std::ostream &os, const TraceSink &sink,
         Json args = Json::object();
         args.set("name", Json::str(processName));
         proc.set("args", std::move(args));
-        trace.push(std::move(proc));
+        emit(proc);
     }
-    trace.push(threadName(kFetchTid, "fetch"));
-    trace.push(threadName(kControlTid, "control"));
+    emit(threadName(kFetchTid, "fetch"));
+    emit(threadName(kControlTid, "control"));
 
     std::vector<bool> namedLoop;
     auto nameLoopTrack = [&](std::int32_t id) {
@@ -190,8 +200,7 @@ writeChromeTrace(std::ostream &os, const TraceSink &sink,
         if (namedLoop[id])
             return;
         namedLoop[id] = true;
-        trace.push(threadName(kLoopTidBase + id,
-                              "loop:" + loopName(id)));
+        emit(threadName(kLoopTidBase + id, "loop:" + loopName(id)));
     };
 
     // Loop activations render as duration spans; recover them first.
@@ -208,7 +217,7 @@ writeChromeTrace(std::ostream &os, const TraceSink &sink,
         args.set("fromBuffer", Json::boolean(s.fromBuffer));
         args.set("recorded", Json::boolean(s.recorded));
         e.set("args", std::move(args));
-        trace.push(std::move(e));
+        emit(e);
     }
 
     for (const auto &ev : events) {
@@ -224,7 +233,7 @@ writeChromeTrace(std::ostream &os, const TraceSink &sink,
             if (ev.loopId >= 0)
                 args.set("loop", Json::str(loopName(ev.loopId)));
             e.set("args", std::move(args));
-            trace.push(std::move(e));
+            emit(e);
             break;
           }
           case TraceKind::LoopRecord: {
@@ -236,7 +245,7 @@ writeChromeTrace(std::ostream &os, const TraceSink &sink,
             args.set("bufAddr", Json::integer(ev.a));
             args.set("imageOps", Json::integer(ev.b));
             e.set("args", std::move(args));
-            trace.push(std::move(e));
+            emit(e);
             break;
           }
           case TraceKind::Branch: {
@@ -248,7 +257,7 @@ writeChromeTrace(std::ostream &os, const TraceSink &sink,
             if (ev.b)
                 args.set("nullified", Json::boolean(true));
             e.set("args", std::move(args));
-            trace.push(std::move(e));
+            emit(e);
             break;
           }
           case TraceKind::Penalty: {
@@ -271,7 +280,7 @@ writeChromeTrace(std::ostream &os, const TraceSink &sink,
             }
             args.set("why", Json::str(why));
             e.set("args", std::move(args));
-            trace.push(std::move(e));
+            emit(e);
             break;
           }
           case TraceKind::Nullify: {
@@ -282,7 +291,7 @@ writeChromeTrace(std::ostream &os, const TraceSink &sink,
             args.set("opcode", Json::integer(ev.a));
             args.set("slot", Json::integer(ev.b));
             e.set("args", std::move(args));
-            trace.push(std::move(e));
+            emit(e);
             break;
           }
           case TraceKind::LoopEnter:
@@ -292,18 +301,15 @@ writeChromeTrace(std::ostream &os, const TraceSink &sink,
         }
     }
 
-    Json root = Json::object();
-    root.set("traceEvents", std::move(trace));
-    root.set("displayTimeUnit", Json::str("ms"));
     Json other = Json::object();
     other.set("schema_version", Json::integer(kTraceSchemaVersion));
     other.set("cycleUnit", Json::str("1 cycle = 1 us"));
     other.set("dropped", Json::uinteger(sink.dropped()));
     other.set("sampledOut", Json::uinteger(sink.sampledOut()));
     other.set("samplePeriod", Json::uinteger(sink.samplePeriod()));
-    root.set("otherData", std::move(other));
-    root.write(os);
-    os << "\n";
+    os << "\n  ],\n  \"displayTimeUnit\": \"ms\",\n  \"otherData\": ";
+    other.write(os, 1);
+    os << "\n}\n";
 }
 
 } // namespace obs

@@ -30,6 +30,8 @@
 #define LBP_SIM_DECODED_HH
 
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <vector>
 
 #include "sim/vliw_sim.hh"
@@ -201,16 +203,109 @@ DecodedProgram decodeProgram(const SchedProgram &code,
                              const LoopTable &loops);
 
 /**
+ * One control-accounting event of a decoded run, in program order.
+ * Every event first charges the head-block issue of the innermost
+ * live activation since the previous event (headBundles bundles of
+ * headOps ops; zero when no activation's head block issued), then
+ * applies its kind. Runs of identical Back events collapse into one
+ * event with repeat > 1.
+ */
+struct ActivationEvent
+{
+    enum class Kind : std::uint8_t
+    {
+        Enter,       ///< REC/EXEC: a new activation (ActivationStream::enters)
+        Arrive,      ///< fetch reached the top's head bundle 0
+        Back,        ///< a taken backedge of the top
+        CountedExit, ///< the top's counted exit (BR_CLOOP not taken)
+        WhileExit,   ///< the top's while exit (BR_WLOOP not taken)
+        Cancel,      ///< a taken transfer out of the head cancelled the top
+    };
+    /** Back: fetch then arrived at head bundle 0 (the loop-back). */
+    static constexpr std::uint8_t kArrives = 1;
+    /**
+     * Arrive: by a plain taken branch issued in the head block;
+     * exits: a plain taken branch left the exit's bundle too. Both
+     * mark what trace replay would end as a side exit.
+     */
+    static constexpr std::uint8_t kSide = 2;
+
+    Kind kind = Kind::Enter;
+    std::uint8_t flags = 0;
+    std::uint32_t repeat = 1;
+    std::uint64_t headBundles = 0;
+    std::uint64_t headOps = 0;
+};
+
+/**
+ * The compact record of one functional run, indexed by loop
+ * activation rather than by bundle: everything the buffer-model
+ * accountant (VliwSim::account) needs to reproduce the run's results
+ * at any buffer allocation. The datapath never reads a bufAddr or
+ * the loop buffer's residency, so the executed ops, their values and
+ * the control path are the same at every size; only fetch source,
+ * loop-control penalties and trace replay change with it.
+ */
+struct ActivationStream
+{
+    /** Enter payload: the REC/EXEC op and its trip count. */
+    struct EnterInfo
+    {
+        FuncId func = kNoFunc;
+        std::uint32_t op = 0;     ///< index into the function's ops
+        std::int64_t count = 0;   ///< counted loops: initial remaining
+    };
+
+    // The key, with the memo slot's PredMode: the run inputs the
+    // stream depends on.
+    std::vector<std::int64_t> args;
+    std::uint64_t maxBundles = 0;
+
+    std::vector<ActivationEvent> events;
+    std::vector<EnterInfo> enters;    ///< one per Enter event, in order
+
+    // Size-independent totals, copied into every accounted run.
+    std::uint64_t bundles = 0;
+    std::uint64_t opsFetched = 0;
+    std::uint64_t opsNullified = 0;
+    std::uint64_t opsSensitive = 0;
+    std::uint64_t branches = 0;
+    std::uint64_t branchesTaken = 0;
+    std::uint64_t checksum = 0;
+    std::vector<std::int64_t> returns;
+    /** Bundles issued outside any live loop's head block. */
+    std::uint64_t otherBundles = 0;
+    /** Plain taken-branch and call/return redirects. */
+    std::uint64_t takenBranchRedirects = 0;
+    std::uint64_t callReturnRedirects = 0;
+};
+
+/**
+ * Per-PredMode activation-stream slots of a DecodedImage. A slot is
+ * filled once, by the first DECODED run of a fresh sim over the
+ * image, under @c mu (a concurrent first run waits, then accounts);
+ * a run that throws leaves it empty. Filled streams are immutable
+ * and shared, and live as long as the image.
+ */
+struct SimMemo
+{
+    std::mutex mu;
+    std::shared_ptr<const ActivationStream> slot[2]; ///< by PredMode
+};
+
+/**
  * A complete shareable predecode of one SchedProgram: the interned
- * loop table plus the micro-op image built against it. Several sim
- * instances can run over one image concurrently (it is read-only at
- * run time), which is what the batched bench sweep does to amortize
- * decode across a buffer-size sweep.
+ * loop table plus the micro-op image built against it, and the
+ * activation-stream memo (SimMemo) the first DECODED run over it
+ * fills. Several sim instances can run over one image concurrently,
+ * which is what the batched sweeps do to amortize decode — and,
+ * through the memo, execution — across a buffer-size sweep.
  */
 struct DecodedImage
 {
     LoopTable loops;
     DecodedProgram program;
+    std::unique_ptr<SimMemo> memo = std::make_unique<SimMemo>();
 };
 
 /** Predecode @p code into a self-contained shareable image. */

@@ -71,11 +71,22 @@ class LoopBuffer
     std::uint64_t tableHits() const { return tableHits_; }
     void countTableHit() { ++tableHits_; }
 
+    /** Same capacity, resident images and counters. */
+    bool operator==(const LoopBuffer &o) const
+    {
+        return capacity_ == o.capacity_ && resident_ == o.resident_ &&
+               recordings_ == o.recordings_ &&
+               evictions_ == o.evictions_ && tableHits_ == o.tableHits_;
+    }
+
   private:
     struct Image
     {
         int addr = 0;
         int size = 0;
+
+        bool operator==(const Image &o) const
+        { return addr == o.addr && size == o.size; }
     };
 
     int capacity_;

@@ -16,6 +16,7 @@
 #include "sim/trace_cache.hh"
 
 #include "obs/prof.hh"
+#include "sim/account.hh"
 #include "sim/bundle_exec.hh"
 #include "sim/dispatch.hh"
 #include "sim/vliw_sim.hh"
@@ -140,6 +141,35 @@ classifyTraceBody(const LoopCtx &ctx, const DecodedFunction &df)
         }
     }
     return TraceBailoutReason::None;
+}
+
+bool
+operator==(const TraceCacheStats &a, const TraceCacheStats &b)
+{
+    const TraceCacheStats::PredReplay &pa = a.predReplay;
+    const TraceCacheStats::PredReplay &pb = b.predReplay;
+    if (a.builds != b.builds || a.replays != b.replays ||
+        a.bailouts != b.bailouts || a.invalidations != b.invalidations ||
+        a.replayedIterations != b.replayedIterations ||
+        a.replayedOps != b.replayedOps || pa.builds != pb.builds ||
+        pa.replays != pb.replays || pa.iterations != pb.iterations ||
+        pa.ops != pb.ops || pa.sideExits != pb.sideExits ||
+        pa.backedgeFallthroughs != pb.backedgeFallthroughs ||
+        a.perLoop.size() != b.perLoop.size())
+        return false;
+    for (std::size_t i = 0;
+         i < static_cast<std::size_t>(TraceBailoutReason::Count); ++i)
+        if (a.bailoutsBy[i] != b.bailoutsBy[i])
+            return false;
+    for (std::size_t id = 0; id < a.perLoop.size(); ++id) {
+        const TraceCacheStats::PerLoop &la = a.perLoop[id];
+        const TraceCacheStats::PerLoop &lb = b.perLoop[id];
+        if (la.replays != lb.replays || la.iterations != lb.iterations ||
+            la.ops != lb.ops || la.bailouts != lb.bailouts ||
+            la.lastReason != lb.lastReason)
+            return false;
+    }
+    return true;
 }
 
 void
@@ -270,23 +300,11 @@ TraceCache::build(LoopTrace &tr, const LoopCtx &ctx,
 
 ReplayResult
 VliwSim::replayResident(LoopCtx &ctx, const DecodedFunction &df,
-                        std::int64_t *regs, std::uint8_t *preds)
+                        const LoopTrace &tr, std::int64_t *regs,
+                        std::uint8_t *preds)
 {
-    TraceCache &tc = *traceCache_;
-    LoopTrace &tr = tc.acquire(ctx, df);
-    if (tr.state != LoopTrace::State::Ready) {
-        // Once per activation, not once per iteration arrival.
-        if (!ctx.traceDeclined) {
-            ctx.traceDeclined = true;
-            tc.countBailout(ctx.loopId, tr.reason);
-        }
-        return {};
-    }
-
     obs::prof::ScopedRegion profRegion(
         obs::prof::Region::SimReplay);
-    TraceCacheStats &tcs = tc.stats();
-    ++tcs.replays;
     LoopStats &ls = stats_.loops[ctx.loopId];
     const bool slotMode = cfg_.predMode == PredMode::SLOT;
     BundleExec bx(regs, preds, slotPred_.data(), mem_, slotMode);
@@ -421,6 +439,7 @@ VliwSim::replayResident(LoopCtx &ctx, const DecodedFunction &df,
     // per-iteration totals, or summed bundle by bundle for the one
     // partial iteration a side exit can produce.
     std::uint64_t iters = 0;
+    std::uint64_t loopBacks = 0;
     std::uint64_t bundlesIssued = 0;
     std::uint64_t opsIssued = 0;
     std::uint64_t sensIssued = 0;
@@ -457,6 +476,7 @@ VliwSim::replayResident(LoopCtx &ctx, const DecodedFunction &df,
         }
         if (backTaken) {
             ++iters;
+            ++loopBacks;
             continue;
         }
         if (countedExit) {
@@ -473,31 +493,21 @@ VliwSim::replayResident(LoopCtx &ctx, const DecodedFunction &df,
         break;
     }
 
+    // The size-independent counters here; the rest is shared with
+    // the accountant.
     stats_.bundles += bundlesIssued;
-    stats_.cycles += bundlesIssued;
-    cycleStack_.charge(ctx.loopId,
-                       obs::CycleClass::IssueFromTraceReplay,
-                       bundlesIssued);
     stats_.opsFetched += opsIssued;
-    stats_.opsFromBuffer += opsIssued;
-    ls.opsFromBuffer += opsIssued;
     if (slotMode)
         stats_.opsSensitive += sensIssued;
+    chargeReplay(ctx, tr, iters, bundlesIssued, opsIssued, outcome);
 
-    tcs.replayedIterations += iters;
-    tcs.replayedOps += opsIssued;
-    TraceCacheStats::PerLoop &pl = tcs.perLoop[ctx.loopId];
-    ++pl.replays;
-    pl.iterations += iters;
-    pl.ops += opsIssued;
-    if (tr.predicated) {
-        ++tcs.predReplay.replays;
-        tcs.predReplay.iterations += iters;
-        tcs.predReplay.ops += opsIssued;
-        if (outcome == ReplayOutcome::SideExit)
-            ++tcs.predReplay.sideExits;
-        else if (outcome == ReplayOutcome::BackedgeFellThrough)
-            ++tcs.predReplay.backedgeFallthroughs;
+    if (recorder_) {
+        // The whole iterations replayed, as the general path would
+        // have recorded them; the last, partial one is picked up by
+        // the next event's head-issue delta.
+        recorder_->loopBacks(loopBacks, nBundles, tr.opsPerIter);
+        if (countedExit || wloopExit)
+            recorder_->exit(countedExit, sideTaken);
     }
 
     ReplayResult rr;
@@ -507,6 +517,38 @@ VliwSim::replayResident(LoopCtx &ctx, const DecodedFunction &df,
     rr.ctxDone = countedExit || wloopExit;
     rr.whileExit = wloopExit;
     return rr;
+}
+
+void
+VliwSim::chargeReplay(const LoopCtx &ctx, const LoopTrace &tr,
+                      std::uint64_t iters, std::uint64_t bundles,
+                      std::uint64_t ops, ReplayOutcome outcome)
+{
+    stats_.cycles += bundles;
+    cycleStack_.charge(ctx.loopId,
+                       obs::CycleClass::IssueFromTraceReplay, bundles);
+    stats_.opsFromBuffer += ops;
+    stats_.loops[static_cast<std::size_t>(ctx.loopId)].opsFromBuffer +=
+        ops;
+
+    TraceCacheStats &tcs = traceCache_->stats();
+    ++tcs.replays;
+    tcs.replayedIterations += iters;
+    tcs.replayedOps += ops;
+    TraceCacheStats::PerLoop &pl =
+        tcs.perLoop[static_cast<std::size_t>(ctx.loopId)];
+    ++pl.replays;
+    pl.iterations += iters;
+    pl.ops += ops;
+    if (tr.predicated) {
+        ++tcs.predReplay.replays;
+        tcs.predReplay.iterations += iters;
+        tcs.predReplay.ops += ops;
+        if (outcome == ReplayOutcome::SideExit)
+            ++tcs.predReplay.sideExits;
+        else if (outcome == ReplayOutcome::BackedgeFellThrough)
+            ++tcs.predReplay.backedgeFallthroughs;
+    }
 }
 
 } // namespace lbp

@@ -132,6 +132,9 @@ struct TraceCacheStats
     std::vector<PerLoop> perLoop;    ///< indexed by dense loop id
 };
 
+/** Every counter, per-reason split and per-loop entry equal. */
+bool operator==(const TraceCacheStats &a, const TraceCacheStats &b);
+
 /**
  * Accumulate @p from into @p into — every counter added, the per-loop
  * table grown to the larger id space, lastReason taken from @p from

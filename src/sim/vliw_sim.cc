@@ -109,6 +109,7 @@ VliwSim::VliwSim(const SchedProgram &code, const SimConfig &cfg,
     if (cfg_.trace)
         cfg_.engine = SimEngine::REFERENCE;
     if (image) {
+        image_ = image;
         loopTable_ = &image->loops;
         decoded_ = &image->program;
     } else {
@@ -203,16 +204,25 @@ VliwSim::opExecutes(const Frame &fr, const Operation &op, int slot) const
 SimStats
 VliwSim::run(const std::vector<std::int64_t> &args)
 {
-    const Program &prog = *code_.ir;
-    mem_ = prog.memory;
     stats_ = SimStats{};
     stats_.loops = loopTable_->proto;
     cycleStack_.reset(stats_.loops.size());
-    bundlesExecuted_ = 0;
-    callDepth_ = 0;
     buffer_.clear();
     if (traceCache_)
         traceCache_->resetRunStats();
+    accounted_ = false;
+    if (!runWithMemo(args))
+        execute(args);
+    return stats_;
+}
+
+void
+VliwSim::execute(const std::vector<std::int64_t> &args)
+{
+    const Program &prog = *code_.ir;
+    mem_ = prog.memory;
+    bundlesExecuted_ = 0;
+    callDepth_ = 0;
     slotPred_.fill(1);
 
     obs::prof::ScopedRegion profRegion(
@@ -227,7 +237,6 @@ VliwSim::run(const std::vector<std::int64_t> &args)
         stats_.checksum = fnv1a(mem_.data() + prog.checksumBase,
                                 static_cast<size_t>(prog.checksumSize));
     }
-    return stats_;
 }
 
 std::vector<std::int64_t>

@@ -127,6 +127,20 @@ struct SimStats
         return out;
     }
 
+    bool operator==(const SimStats &o) const
+    {
+        return cycles == o.cycles && bundles == o.bundles &&
+               opsFetched == o.opsFetched &&
+               opsFromBuffer == o.opsFromBuffer &&
+               opsNullified == o.opsNullified &&
+               opsSensitive == o.opsSensitive &&
+               branches == o.branches &&
+               branchesTaken == o.branchesTaken &&
+               branchPenaltyCycles == o.branchPenaltyCycles &&
+               checksum == o.checksum && returns == o.returns &&
+               loops == o.loops;
+    }
+
     double bufferFraction() const
     {
         return opsFetched ? static_cast<double>(opsFromBuffer) /
@@ -212,6 +226,10 @@ struct DecodedProgram;
 struct DecodedFunction;
 struct DecodedImage;
 struct LoopTable;
+struct LoopTrace;
+struct MicroOp;
+struct ActivationStream;
+class ActivationRecorder;
 class TraceCache;
 struct TraceCacheStats;
 
@@ -247,7 +265,6 @@ struct LoopCtx
 /** How one trace-cache replay engagement ended. */
 enum class ReplayOutcome : std::uint8_t
 {
-    NotEngaged,  ///< untraceable body: general path runs the loop
     CountedDone, ///< counted exit — predicted, falls through free
     WloopExit,   ///< while exit from the buffer — mispredicted
     /**
@@ -267,7 +284,7 @@ enum class ReplayOutcome : std::uint8_t
 
 struct ReplayResult
 {
-    ReplayOutcome outcome = ReplayOutcome::NotEngaged;
+    ReplayOutcome outcome = ReplayOutcome::CountedDone;
     std::uint32_t resumeBundle = 0;  ///< head bundle after backedge
     BlockId sideTarget = kNoBlock;   ///< SideExit redirect target
     /**
@@ -292,8 +309,19 @@ class VliwSim
      * Run over a pre-built shared decode of the same program: @p image
      * must outlive the sim and stay in sync with @p code's buffer
      * allocation (rebindBufferAddresses after reallocateBuffers). The
-     * batched bench sweep uses this to decode once per compile and
-     * share the read-only image across a buffer-size sweep.
+     * batched sweeps use this to decode once per compile and share
+     * the image across a buffer-size sweep.
+     *
+     * The image is not purely read-only: it also carries one
+     * activation-stream memo per PredMode (DecodedImage::memo). The
+     * first DECODED run of a fresh sim over the image executes the
+     * program and fills its mode's slot; every later run with the
+     * same (predMode, args, maxBundles) key, at any buffer size,
+     * trace-cache mode, replay threshold or branch penalty, replays
+     * the stream through the accountant instead of executing, with
+     * bit-identical SimStats, cycle stack, TraceCacheStats and loop
+     * buffer state. Concurrent runs over one image stay safe: the
+     * slot fills under the memo's mutex.
      */
     VliwSim(const SchedProgram &code, const SimConfig &cfg,
             const DecodedImage *image);
@@ -304,6 +332,12 @@ class VliwSim
     SimStats run(const std::vector<std::int64_t> &args = {});
 
     const LoopBuffer &buffer() const { return buffer_; }
+
+    /**
+     * The last run accounted its results from the image's memoized
+     * activation stream instead of executing the program.
+     */
+    bool accounted() const { return accounted_; }
 
     /**
      * Trace-cache side counters for the last run; null when the cache
@@ -342,13 +376,13 @@ class VliwSim
 
     /**
      * Replay the resident loop on top of the loop stack from its
-     * cached trace (trace_cache.cc). Called from the decoded body
-     * when fetch arrives at the loop head's first bundle.
-     * NotEngaged means the body is untraceable and the general path
-     * must run it.
+     * Ready trace @p tr (trace_cache.cc). Called from the decoded
+     * body when fetch arrives at the loop head's first bundle and
+     * engageTrace accepted the activation; never NotEngaged.
      */
     ReplayResult replayResident(LoopCtx &ctx,
                                 const DecodedFunction &df,
+                                const LoopTrace &tr,
                                 std::int64_t *regs,
                                 std::uint8_t *preds);
 
@@ -363,16 +397,127 @@ class VliwSim
      * cannot drift between executors. @p loopRow is the dense loop id
      * the penalty belongs to (-1 = outside any loop).
      */
-    void chargeRedirect(obs::CycleClass cls, int loopRow)
+    void chargeRedirect(obs::CycleClass cls, int loopRow,
+                        std::uint64_t n = 1)
     {
-        stats_.branchPenaltyCycles +=
-            static_cast<std::uint64_t>(cfg_.branchPenalty);
-        stats_.cycles +=
-            static_cast<std::uint64_t>(cfg_.branchPenalty);
-        cycleStack_.charge(
-            loopRow, cls,
-            static_cast<std::uint64_t>(cfg_.branchPenalty));
+        const std::uint64_t c =
+            n * static_cast<std::uint64_t>(cfg_.branchPenalty);
+        stats_.branchPenaltyCycles += c;
+        stats_.cycles += c;
+        cycleStack_.charge(loopRow, cls, c);
+        if (loopRow < 0 && recorder_)
+            notePlainRedirect(cls);
     }
+
+    /**
+     * Fetch accounting for @p bundles bundles of @p ops operations
+     * issued for loop row @p row (-1: not the head block of the
+     * innermost live loop), from the buffer or from memory. The
+     * decoded general path charges each bundle here; the accountant
+     * charges whole head-block segments.
+     */
+    void chargeFetch(int row, bool fromBuffer, std::uint64_t bundles,
+                     std::uint64_t ops)
+    {
+        stats_.cycles += bundles;
+        if (row >= 0) {
+            LoopStats &ls = stats_.loops[static_cast<std::size_t>(row)];
+            (fromBuffer ? ls.opsFromBuffer : ls.opsFromCache) += ops;
+        }
+        if (fromBuffer)
+            stats_.opsFromBuffer += ops;
+        cycleStack_.charge(row,
+                           fromBuffer ? obs::CycleClass::IssueFromBuffer
+                                      : obs::CycleClass::IssueFromMemory,
+                           bundles);
+    }
+
+    /**
+     * Start an activation of the REC/EXEC @p m with @p count
+     * iterations (counted loops): the residency check, recording and
+     * eviction attribution against the loop buffer, and the trace
+     * invalidation an eviction implies. Shared by the decoded engine
+     * and the accountant (vliw_sim_decoded.cc).
+     */
+    LoopCtx enterLoop(const MicroOp &m, std::int64_t count);
+
+    /**
+     * @p n executions of @p ctx's backedge (a buffered iteration
+     * when fetch is from the buffer).
+     */
+    void countIteration(LoopCtx &ctx, std::uint64_t n = 1)
+    {
+        ctx.iterations += n;
+        if (ctx.fromBuffer)
+            stats_.loops[static_cast<std::size_t>(ctx.loopId)]
+                .bufferIterations += n;
+    }
+
+    /**
+     * @p n taken backedges of @p ctx: after the first, fetch comes
+     * from the buffer when the loop has an image. Returns whether
+     * the loop-back is free (buffered); an unbuffered one pays a
+     * LoopControlOverhead redirect. @p n > 1 only once fetch can no
+     * longer change source (fromBuffer or unbuffered).
+     */
+    bool loopBack(LoopCtx &ctx, std::uint64_t n = 1)
+    {
+        countIteration(ctx, n);
+        if (ctx.buffered)
+            ctx.fromBuffer = true;
+        return ctx.buffered;
+    }
+
+    /**
+     * A while exit of @p ctx: its last iteration, and the
+     * mispredicted-exit penalty when issuing from the buffer.
+     */
+    void whileExit(LoopCtx &ctx)
+    {
+        countIteration(ctx);
+        if (ctx.fromBuffer)
+            chargeRedirect(obs::CycleClass::WhileExitPenalty,
+                           ctx.loopId);
+    }
+
+    /**
+     * Trace-cache engagement gate at an arrival of @p top at its head
+     * block's first bundle while issuing from the buffer: a counted
+     * activation with fewer than replayMinIters iterations left, or
+     * an untraceable body, declines once per activation (a counted
+     * bailout); otherwise returns the Ready trace to replay.
+     */
+    LoopTrace *engageTrace(LoopCtx &top, const DecodedFunction &df);
+
+    /**
+     * The size-dependent charges of one replay engagement of @p ctx
+     * over @p tr: @p bundles cycles of IssueFromTraceReplay,
+     * @p ops buffer-issued ops, and the TraceCacheStats counters.
+     * Shared by replayResident and the accountant.
+     */
+    void chargeReplay(const LoopCtx &ctx, const LoopTrace &tr,
+                      std::uint64_t iters, std::uint64_t bundles,
+                      std::uint64_t ops, ReplayOutcome outcome);
+
+    /** Recorder hook of chargeRedirect (vliw_sim_account.cc). */
+    void notePlainRedirect(obs::CycleClass cls);
+
+    /**
+     * Accountant (vliw_sim_account.cc): produce this run's complete
+     * results at the current allocation from @p s, without
+     * executing the program.
+     */
+    void account(const ActivationStream &s);
+
+    /**
+     * Run with the image memo: account from a filled slot with this
+     * run's key, or record the slot on the first DECODED run of a
+     * fresh sim. False means neither applies and run() executes.
+     */
+    bool runWithMemo(const std::vector<std::int64_t> &args);
+
+    /** Execute the program (both engines); fills stats_. */
+    void execute(const std::vector<std::int64_t> &args);
 
     /**
      * Shared loop-retire accounting (vliw_sim.cc): fold @p ctx's
@@ -393,6 +538,21 @@ class VliwSim
     obs::CycleStack cycleStack_;
     std::uint64_t bundlesExecuted_ = 0;
     int callDepth_ = 0;
+
+    /** Caller-shared predecode (null: the sim owns its decode). */
+    const DecodedImage *image_ = nullptr;
+
+    /** No run() has started on this sim yet. */
+    bool fresh_ = true;
+
+    /** See accounted(). */
+    bool accounted_ = false;
+
+    /** Activation-stream recorder of a memo-filling run. */
+    ActivationRecorder *recorder_ = nullptr;
+
+    /** Scratch for LoopBuffer::record's eviction list. */
+    std::vector<LoopKey> evicted_;
 
     /** Static loop-id interning shared by both engines. */
     const LoopTable *loopTable_ = nullptr;

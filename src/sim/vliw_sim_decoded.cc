@@ -23,6 +23,7 @@
 
 #include "sim/vliw_sim.hh"
 
+#include "sim/account.hh"
 #include "sim/bundle_exec.hh"
 #include "sim/decoded.hh"
 #include "sim/dispatch.hh"
@@ -31,6 +32,64 @@
 
 namespace lbp
 {
+
+LoopCtx
+VliwSim::enterLoop(const MicroOp &m, std::int64_t count)
+{
+    LoopCtx ctx;
+    ctx.key = loopTable_->keys[static_cast<std::size_t>(m.loopId)];
+    ctx.loopId = m.loopId;
+    ctx.counted = m.counted;
+    ctx.remaining = count;
+    ctx.head = m.target;
+    ctx.pipelined = m.pipelined;
+    ctx.bodyLen = m.bodyLen;
+    ctx.ii = m.ii;
+    ctx.minII = m.minII;
+    ctx.buffered = m.bufAddr >= 0;
+    ctx.isExec = m.op == Opcode::EXEC_CLOOP || m.op == Opcode::EXEC_WLOOP;
+    LoopStats &ls = stats_.loops[static_cast<std::size_t>(m.loopId)];
+    ++ls.activations;
+    if (ctx.buffered) {
+        if (buffer_.isResident(ctx.key)) {
+            buffer_.countTableHit();
+            ctx.fromBuffer = true;
+        } else {
+            buffer_.record(ctx.key, m.bufAddr, m.imageOps, &evicted_);
+            for (const LoopKey &ek : evicted_) {
+                const int eid = loopTable_->idOf(ek);
+                ++stats_.loops[static_cast<std::size_t>(eid)].evictions;
+                // A replay trace cannot outlive the buffer image it
+                // models.
+                if (traceCache_)
+                    traceCache_->invalidate(eid);
+            }
+            ++ls.recordings;
+            ctx.fromBuffer = false;
+        }
+    }
+    return ctx;
+}
+
+LoopTrace *
+VliwSim::engageTrace(LoopCtx &top, const DecodedFunction &df)
+{
+    TraceBailoutReason reason;
+    if (top.counted && top.remaining < cfg_.replayMinIters) {
+        // Residency without enough iterations left to amortize a
+        // replay: a real bailout (the general path runs the
+        // activation), attributed like any build-gating decline.
+        reason = TraceBailoutReason::BelowEngageThreshold;
+    } else {
+        LoopTrace &tr = traceCache_->acquire(top, df);
+        if (tr.state == LoopTrace::State::Ready)
+            return &tr;
+        reason = tr.reason;
+    }
+    top.traceDeclined = true;
+    traceCache_->countBailout(top.loopId, reason);
+    return nullptr;
+}
 
 std::vector<std::int64_t>
 VliwSim::callFunctionDecoded(FuncId f,
@@ -52,7 +111,6 @@ VliwSim::callFunctionDecoded(FuncId f,
         regs[df.params[i]] = args[i];
 
     std::vector<LoopCtx> loopStack;
-    std::vector<LoopKey> evictedKeys;
 
     BlockId curBlk = df.entry;
     size_t curBu = 0;
@@ -71,31 +129,17 @@ VliwSim::callFunctionDecoded(FuncId f,
         // Trace-cache engagement: arriving at the first bundle of the
         // innermost loop's head block while it issues from the buffer
         // is the replay condition (traces replay whole iterations).
-        // A NotEngaged result falls through to the general path;
-        // declines latch traceDeclined so resident-but-untraceable
-        // loops pay the gate once per activation, not once per
-        // iteration.
+        // A decline falls through to the general path and latches
+        // traceDeclined, so resident-but-untraceable loops pay the
+        // gate once per activation, not once per iteration.
         if (traceCache_ && curBu == 0 && !loopStack.empty()) {
             LoopCtx &top = loopStack.back();
             if (top.head == curBlk && top.fromBuffer &&
                 !top.traceDeclined) {
-                if (top.counted &&
-                    top.remaining < cfg_.replayMinIters) {
-                    // Residency without enough iterations left to
-                    // amortize a replay: a real bailout (the
-                    // general path runs the activation),
-                    // attributed like any build-gating decline —
-                    // once per activation.
-                    top.traceDeclined = true;
-                    traceCache_->countBailout(
-                        top.loopId,
-                        TraceBailoutReason::BelowEngageThreshold);
-                } else {
+                if (const LoopTrace *tr = engageTrace(top, df)) {
                     const ReplayResult rr =
-                        replayResident(top, df, regs, preds);
+                        replayResident(top, df, *tr, regs, preds);
                     switch (rr.outcome) {
-                      case ReplayOutcome::NotEngaged:
-                        break;
                       case ReplayOutcome::BackedgeFellThrough: {
                         // The activation stays live; fetch falls
                         // through the nullified backedge into the
@@ -127,6 +171,8 @@ VliwSim::callFunctionDecoded(FuncId f,
                                loopStack.back().head == curBlk &&
                                rr.sideTarget !=
                                    loopStack.back().head) {
+                            if (recorder_)
+                                recorder_->cancel();
                             LoopCtx done = loopStack.back();
                             loopStack.pop_back();
                             retireLoopStats(done);
@@ -134,6 +180,9 @@ VliwSim::callFunctionDecoded(FuncId f,
                         chargeRedirect(
                             obs::CycleClass::TakenBranchPenalty,
                             -1);
+                        if (recorder_ && !loopStack.empty() &&
+                            loopStack.back().head == rr.sideTarget)
+                            recorder_->arrive(curBlk == rr.sideTarget);
                         curBlk = rr.sideTarget;
                         curBu = 0;
                         continue;
@@ -171,14 +220,15 @@ VliwSim::callFunctionDecoded(FuncId f,
                        "sim fell off block in ", df.fn->name);
             curBlk = db.fallthrough;
             curBu = 0;
+            if (recorder_ && !loopStack.empty() &&
+                loopStack.back().head == curBlk)
+                recorder_->arrive(false);
             continue;
         }
 
         const DecodedBundle &bu = df.bundles[db.firstBundle + curBu];
         LBP_ASSERT(++bundlesExecuted_ <= cfg_.maxBundles,
                    "bundle budget exceeded");
-        ++stats_.bundles;
-        ++stats_.cycles;
 
         // Fetch accounting: are we executing this bundle from the
         // loop buffer? Body ops are attributed to the innermost
@@ -190,25 +240,15 @@ VliwSim::callFunctionDecoded(FuncId f,
             const LoopCtx &top = loopStack.back();
             if (curBlk == top.head) {
                 issueRow = top.loopId;
-                LoopStats &tls = stats_.loops[top.loopId];
-                if (top.fromBuffer) {
-                    fromBuffer = true;
-                    tls.opsFromBuffer += bu.sizeOps;
-                } else {
-                    tls.opsFromCache += bu.sizeOps;
-                }
+                fromBuffer = top.fromBuffer;
             }
         }
+        ++stats_.bundles;
         stats_.opsFetched += bu.sizeOps;
-        if (fromBuffer)
-            stats_.opsFromBuffer += bu.sizeOps;
         if (slotMode)
             stats_.opsSensitive += static_cast<std::uint64_t>(bu.sensOps);
-        cycleStack_.charge(issueRow,
-                           fromBuffer
-                               ? obs::CycleClass::IssueFromBuffer
-                               : obs::CycleClass::IssueFromMemory,
-                           1);
+        chargeFetch(issueRow, fromBuffer, 1,
+                    static_cast<std::uint64_t>(bu.sizeOps));
 
         // ---- Phase 1: evaluate ----
         bx.begin(bu);
@@ -269,19 +309,14 @@ VliwSim::callFunctionDecoded(FuncId f,
                     ++stats_.branchesTaken;
                     if (isWloopBack) {
                         LoopCtx &ctx = loopStack.back();
-                        ++ctx.iterations;
-                        if (ctx.fromBuffer) {
-                            ++stats_.loops[ctx.loopId]
-                                  .bufferIterations;
-                        }
+                        if (recorder_)
+                            recorder_->back();
                         // Loop-backs of buffered loops are free (the
                         // buffer predicts them taken while looping).
-                        takeRedirect(m->target, 0, ctx.buffered,
+                        takeRedirect(m->target, 0, loopBack(ctx),
                                      obs::CycleClass::
                                          LoopControlOverhead,
                                      ctx.loopId);
-                        if (ctx.buffered)
-                            ctx.fromBuffer = true;
                     } else {
                         takeRedirect(m->target, 0, false);
                     }
@@ -290,15 +325,11 @@ VliwSim::callFunctionDecoded(FuncId f,
                     // mispredicted when issuing from the buffer (the
                     // buffer keeps replaying); from memory the
                     // fall-through is the natural fetch path.
+                    if (recorder_)
+                        recorder_->exit(false);
                     LoopCtx ctx = loopStack.back();
                     loopStack.pop_back();
-                    ++ctx.iterations;
-                    if (ctx.fromBuffer) {
-                        ++stats_.loops[ctx.loopId].bufferIterations;
-                        chargeRedirect(
-                            obs::CycleClass::WhileExitPenalty,
-                            ctx.loopId);
-                    }
+                    whileExit(ctx);
                     retireLoopStats(ctx);
                     if (ctx.isExec) {
                         takeRedirect(ctx.resumeBlock,
@@ -322,25 +353,24 @@ VliwSim::callFunctionDecoded(FuncId f,
                            "br.cloop without context in ",
                            df.fn->name);
                 LoopCtx &ctx = loopStack.back();
-                ++ctx.iterations;
-                if (ctx.fromBuffer)
-                    ++stats_.loops[ctx.loopId].bufferIterations;
                 --ctx.remaining;
                 if (ctx.remaining > 0) {
                     ++stats_.branchesTaken;
+                    if (recorder_)
+                        recorder_->back();
                     // Counted loop-backs of buffered loops are free;
                     // unbuffered ones redirect fetch like any taken
-                    // branch.
-                    takeRedirect(m->target, 0, ctx.buffered,
+                    // branch. After the first (recording) iteration,
+                    // fetch shifts to the buffer.
+                    takeRedirect(m->target, 0, loopBack(ctx),
                                  obs::CycleClass::LoopControlOverhead,
                                  ctx.loopId);
-                    // After the first (recording) iteration, fetch
-                    // shifts to the buffer.
-                    if (ctx.buffered)
-                        ctx.fromBuffer = true;
                 } else {
                     // Counted exit: fall-through, predicted by the
                     // count — never a redirect.
+                    if (recorder_)
+                        recorder_->exit(true);
+                    countIteration(ctx);
                     LoopCtx done = ctx;
                     loopStack.pop_back();
                     retireLoopStats(done);
@@ -353,45 +383,17 @@ VliwSim::callFunctionDecoded(FuncId f,
               }
 
               LBP_HANDLER(LOOP) {
-                LoopCtx ctx;
-                ctx.key = loopTable_->keys[m->loopId];
-                ctx.loopId = m->loopId;
-                ctx.counted = m->counted;
-                if (ctx.counted) {
-                    ctx.remaining = bx.read(m->src[0]);
-                    LBP_ASSERT(ctx.remaining >= 1,
-                               "cloop with count ", ctx.remaining);
+                std::int64_t count = 0;
+                if (m->counted) {
+                    count = bx.read(m->src[0]);
+                    LBP_ASSERT(count >= 1, "cloop with count ", count);
                 }
-                ctx.head = m->target;
-                ctx.pipelined = m->pipelined;
-                ctx.bodyLen = m->bodyLen;
-                ctx.ii = m->ii;
-                ctx.minII = m->minII;
-                ctx.buffered = m->bufAddr >= 0;
-                LoopStats &ls = stats_.loops[m->loopId];
-                ++ls.activations;
-                if (ctx.buffered) {
-                    if (buffer_.isResident(ctx.key)) {
-                        buffer_.countTableHit();
-                        ctx.fromBuffer = true;
-                    } else {
-                        buffer_.record(ctx.key, m->bufAddr,
-                                       m->imageOps, &evictedKeys);
-                        for (const LoopKey &ek : evictedKeys) {
-                            const int eid = loopTable_->idOf(ek);
-                            ++stats_.loops[eid].evictions;
-                            // A replay trace cannot outlive the
-                            // buffer image it models.
-                            if (traceCache_)
-                                traceCache_->invalidate(eid);
-                        }
-                        ++ls.recordings;
-                        ctx.fromBuffer = false;
-                    }
-                }
-                if (m->op == Opcode::EXEC_CLOOP ||
-                    m->op == Opcode::EXEC_WLOOP) {
-                    ctx.isExec = true;
+                LoopCtx ctx = enterLoop(*m, count);
+                if (recorder_)
+                    recorder_->enter(
+                        f, static_cast<std::uint32_t>(m - opBase),
+                        m->loopId, count);
+                if (ctx.isExec) {
                     ctx.resumeBlock = curBlk;
                     ctx.resumeBundle = curBu + 1;
                     // Executing an already-buffered loop: no fetch
@@ -457,12 +459,27 @@ VliwSim::callFunctionDecoded(FuncId f,
             while (!loopStack.empty() &&
                    loopStack.back().head == curBlk &&
                    nextBlk != loopStack.back().head) {
+                if (recorder_)
+                    recorder_->cancel();
                 LoopCtx done = loopStack.back();
                 loopStack.pop_back();
                 retireLoopStats(done);
             }
             if (!freeXfer)
                 chargeRedirect(redirCls, redirRow);
+            if (recorder_) {
+                // A plain taken branch: a side exit as trace replay
+                // sees it, of an exit in this bundle or of the head
+                // block it leaves.
+                const bool plain =
+                    !freeXfer &&
+                    redirCls == obs::CycleClass::TakenBranchPenalty;
+                if (plain)
+                    recorder_->sideExitAfterExit();
+                if (nextBu == 0 && !loopStack.empty() &&
+                    loopStack.back().head == nextBlk)
+                    recorder_->arrive(plain && curBlk == nextBlk);
+            }
             curBlk = nextBlk;
             curBu = nextBu;
         } else {

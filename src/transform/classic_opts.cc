@@ -193,6 +193,7 @@ deadCodeElim(Function &fn)
         std::set<RegId> liveNow = live.liveOut(bb.id);
         std::set<PredId> predLiveNow = live.predLiveOut(bb.id);
         std::vector<char> keep(bb.ops.size(), 1);
+        bool removed = false;
         for (int i = static_cast<int>(bb.ops.size()) - 1; i >= 0; --i) {
             Operation &op = bb.ops[i];
             bool needed = hasSideEffects(op);
@@ -213,6 +214,7 @@ deadCodeElim(Function &fn)
             }
             if (!needed) {
                 keep[i] = 0;
+                removed = true;
                 ++st.eliminated;
                 continue;
             }
@@ -237,7 +239,7 @@ deadCodeElim(Function &fn)
             for (PredId p : Liveness::predUses(op))
                 predLiveNow.insert(p);
         }
-        if (st.eliminated > 0) {
+        if (removed) {
             std::vector<Operation> kept;
             kept.reserve(bb.ops.size());
             for (size_t i = 0; i < bb.ops.size(); ++i)

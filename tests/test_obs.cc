@@ -24,6 +24,7 @@
 #include "obs/trace.hh"
 #include "sim/trace_cache.hh"
 #include "sim/vliw_sim.hh"
+#include "workloads/input_data.hh"
 
 namespace lbp
 {
@@ -622,6 +623,63 @@ TEST(ObsTrace, ChromeExportIsValidJson)
 
     EXPECT_EQ(doc.find("otherData")->find("schema_version")->asInt(),
               obs::kTraceSchemaVersion);
+}
+
+/**
+ * The streaming Chrome writer against a document the former
+ * whole-document (one Json tree) writer produced for the same run:
+ * an if-converted counted loop at the Aggressive level, so every
+ * event kind but call/return penalties appears (fetch, buffer hit,
+ * record, branch, penalty, nullify, residency spans, track names).
+ */
+TEST(ObsTrace, ChromeExportMatchesGolden)
+{
+    // loopProgram(20, 2) plus a guarded add in the body: the program
+    // the golden was captured from.
+    Program prog;
+    {
+        const auto data = prog.allocData(64);
+        prog.checksumBase = data;
+        prog.checksumSize = 8;
+        const FuncId f = prog.newFunction("main");
+        prog.entryFunc = f;
+        IRBuilder b(prog, f);
+        const RegId dp = b.iconst(data);
+        const RegId acc = b.iconst(0);
+        b.forLoop(0, 20, 1, [&](RegId i) {
+            b.addTo(acc, R(acc), R(i));
+            for (int p = 0; p < 2; ++p)
+                b.binTo(Opcode::XOR, acc, R(acc), I(p * 3 + 1));
+            const RegId odd = b.and_(R(i), I(1));
+            workloads::ifThen(b, CmpCond::NE, R(odd), I(0),
+                              [&] { b.addTo(acc, R(acc), I(7)); });
+        });
+        b.storeW(R(dp), I(0), R(acc));
+        b.ret({R(acc)});
+    }
+    CompileOptions opts;
+    opts.level = OptLevel::Aggressive;
+    CompileResult cr;
+    compileProgram(prog, opts, cr);
+
+    obs::TraceSink sink(1u << 14);
+    SimConfig sc;
+    sc.bufferOps = 64;
+    sc.trace = &sink;
+    VliwSim sim(cr.code, sc);
+    const SimStats stats = sim.run();
+    std::vector<std::string> names;
+    for (const auto &ls : stats.loops)
+        names.push_back(ls.name);
+    std::ostringstream os;
+    obs::writeChromeTrace(os, sink, names);
+
+    std::ifstream in(std::string(LBP_GOLDEN_DIR) +
+                     "/chrome_trace_predicated_loop.json");
+    ASSERT_TRUE(in.good()) << "missing golden";
+    std::stringstream golden;
+    golden << in.rdbuf();
+    EXPECT_EQ(os.str(), golden.str());
 }
 
 // -------------------------------------------------------- phase timers
