@@ -7,7 +7,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <sstream>
 #include <thread>
 #include <tuple>
 
@@ -43,8 +42,6 @@ parseBenchOptions(int argc, char **argv, unsigned mask,
             u += " [--threads=N]";
         if (mask & kBenchFlagProf)
             u += " [--prof]";
-        if (mask & kBenchFlagPmu)
-            u += " [--pmu]";
         std::fprintf(stderr, "%s\n", u.c_str());
         return false;
     };
@@ -71,8 +68,6 @@ parseBenchOptions(int argc, char **argv, unsigned mask,
             o.threads = std::atoi(arg.c_str() + 10);
         } else if ((mask & kBenchFlagProf) && arg == "--prof") {
             o.prof = true;
-        } else if ((mask & kBenchFlagPmu) && arg == "--pmu") {
-            o.pmu = true;
         } else {
             return usage();
         }
@@ -81,45 +76,6 @@ parseBenchOptions(int argc, char **argv, unsigned mask,
     if (!o.historyPath.empty())
         o.json = true;
     return true;
-}
-
-void
-startBenchPmu(const BenchOptions &o)
-{
-    if (!o.pmu)
-        return;
-    std::string why;
-    if (!obs::pmu::PmuSession::instance().start(&why))
-        std::printf("host pmu unavailable: %s (continuing without "
-                    "counters)\n",
-                    why.c_str());
-}
-
-obs::Json
-finishBenchPmu(const BenchOptions &o)
-{
-    using obs::Json;
-    if (!o.pmu) {
-        Json j = Json::object();
-        j.set("requested", Json::boolean(false));
-        j.set("available", Json::boolean(false));
-        j.set("reason", Json::str("not requested"));
-        return j;
-    }
-    obs::pmu::PmuSession &session =
-        obs::pmu::PmuSession::instance();
-    session.stop();
-    const obs::pmu::Snapshot snap = session.snapshot();
-    std::printf("\nhost pmu (per-region hardware counters)\n");
-    rule();
-    {
-        std::ostringstream os;
-        obs::pmu::printSnapshotTable(os, snap);
-        std::fputs(os.str().c_str(), stdout);
-    }
-    Json j = obs::pmu::snapshotJson(snap);
-    j.set("requested", Json::boolean(true));
-    return j;
 }
 
 const std::vector<int> &
@@ -146,13 +102,13 @@ compileBench(const std::string &name, OptLevel level, PredMode mode)
         std::mutex mu;
         std::unique_ptr<CompileResult> cr;
     };
-    static std::mutex mapMu;
+    static std::mutex cacheMu;
     static std::map<std::tuple<std::string, int, bool>,
                     std::shared_ptr<Entry>> cache;
 
     std::shared_ptr<Entry> entry;
     {
-        std::lock_guard<std::mutex> lock(mapMu);
+        std::lock_guard<std::mutex> lock(cacheMu);
         auto &slotRef = cache[{name, static_cast<int>(level), slot}];
         if (!slotRef)
             slotRef = std::make_shared<Entry>();

@@ -15,7 +15,6 @@
 #include "core/metrics.hh"
 #include "obs/cycle_stack.hh"
 #include "obs/json.hh"
-#include "obs/pmu.hh"
 #include "power/fetch_energy.hh"
 #include "sim/trace_cache.hh"
 #include "sim/vliw_sim.hh"
@@ -35,7 +34,6 @@ enum BenchFlag : unsigned
     kBenchFlagLoops = 1u << 3,   ///< --loops
     kBenchFlagThreads = 1u << 4, ///< --threads=N
     kBenchFlagProf = 1u << 5,    ///< --prof
-    kBenchFlagPmu = 1u << 6,     ///< --pmu
 };
 
 /**
@@ -48,7 +46,6 @@ struct BenchOptions
     bool json = false;
     bool loops = false;
     bool prof = false;
-    bool pmu = false;
     int threads = 0;         ///< 0 = hardware concurrency
     std::string jsonPath;    ///< parseBenchOptions seeds the default
     std::string historyPath; ///< empty = no history append
@@ -64,25 +61,6 @@ struct BenchOptions
 bool parseBenchOptions(int argc, char **argv, unsigned mask,
                        const std::string &defaultJsonPath,
                        BenchOptions &o);
-
-/**
- * Arm the host PMU session for a `--pmu` run (no-op otherwise). A
- * runtime open failure — restricted perf_event_paranoid, no hardware
- * PMU — prints the reason and returns normally, so the run continues
- * and the document records available=false.
- */
-void startBenchPmu(const BenchOptions &o);
-
-/**
- * Stop the `--pmu` session, print the per-region host-counter table,
- * and return the document's "pmu" block. Always returns a block so
- * every schema-v5 document has the key: without --pmu it is the
- * deterministic {"requested":false, "available":false, reason} —
- * bench baselines stay byte-reproducible on any host (the diff gate
- * additionally skips "pmu" entirely, since requested runs are
- * host-variant).
- */
-obs::Json finishBenchPmu(const BenchOptions &o);
 
 /** The buffer sizes swept by Figure 7. */
 const std::vector<int> &figureBufferSizes();

@@ -9,7 +9,7 @@
  * relative increase).
  *
  * Usage: bench_fig7_buffer_issue [--json[=PATH]] [--history[=PATH]]
- *                                [--loops] [--pmu]
+ *                                [--loops]
  *   --json[=P]     machine-readable results (default
  *                  BENCH_fig7.json); fractions are deterministic, so
  *                  the dump is diffable counter-exact by the
@@ -18,10 +18,6 @@
  *                  BENCH_history.jsonl timeline (implies --json)
  *   --loops        per-loop scorecard for every workload
  *                  (aggressive, 256-op buffer) after the tables
- *   --pmu          attribute host hardware counters (IPC,
- *                  branch/cache misses) to the profiler's regions
- *                  over the whole run; host-variant, so the "pmu"
- *                  JSON block is recorded but never gated
  */
 
 #include <cstdio>
@@ -98,8 +94,7 @@ void
 writeJson(const std::string &path, const std::string &historyPath,
           const std::vector<Series> &trad,
           const std::vector<Series> &aggr, double headlineTrad,
-          double headlineAggr, const obs::CycleRow &cycles,
-          obs::Json pmu)
+          double headlineAggr, const obs::CycleRow &cycles)
 {
     using obs::Json;
     Json doc = benchJsonDoc("fig7");
@@ -141,9 +136,6 @@ writeJson(const std::string &path, const std::string &historyPath,
     // (aggressive, 256-op buffer), summed over every workload.
     doc.set("cycle_stack", cycleStackJson(cycles));
 
-    // Host-variant counters (PerPoint: recorded, never gated).
-    doc.set("pmu", std::move(pmu));
-
     writeBenchJson(path, doc);
     if (!historyPath.empty())
         appendBenchHistory(historyPath, doc);
@@ -157,10 +149,9 @@ main(int argc, char **argv)
     BenchOptions o;
     if (!parseBenchOptions(argc, argv,
                            kBenchFlagJson | kBenchFlagHistory |
-                               kBenchFlagLoops | kBenchFlagPmu,
+                               kBenchFlagLoops,
                            "BENCH_fig7.json", o))
         return 2;
-    startBenchPmu(o);
 
     std::printf("=== Figure 7: instruction issue from the loop buffer "
                 "(%%) ===\n\n");
@@ -208,9 +199,7 @@ main(int argc, char **argv)
                 cycles[k] += row[k];
         }
         writeJson(o.jsonPath, o.historyPath, trad, aggr, t, a,
-                  cycles, finishBenchPmu(o));
-    } else if (o.pmu) {
-        finishBenchPmu(o); // table only — no document to carry it
+                  cycles);
     }
     return 0;
 }

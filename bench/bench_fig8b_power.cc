@@ -9,7 +9,7 @@
  * model (41.8x memory/buffer ratio at 256 ops / 512 KB, §7.2).
  *
  * Usage: bench_fig8b_power [--json[=PATH]] [--history[=PATH]]
- *                          [--loops] [--pmu]
+ *                          [--loops]
  *   --json[=P]     machine-readable results (default
  *                  BENCH_fig8b.json); energies are deterministic, so
  *                  the dump is diffable counter-exact by the
@@ -18,10 +18,6 @@
  *                  BENCH_history.jsonl timeline (implies --json)
  *   --loops        per-loop scorecard for every workload
  *                  (aggressive, 256-op buffer) after the table
- *   --pmu          attribute host hardware counters (IPC,
- *                  branch/cache misses) to the profiler's regions
- *                  over the whole run; host-variant, so the "pmu"
- *                  JSON block is recorded but never gated
  */
 
 #include <cstdio>
@@ -40,10 +36,9 @@ main(int argc, char **argv)
     BenchOptions o;
     if (!parseBenchOptions(argc, argv,
                            kBenchFlagJson | kBenchFlagHistory |
-                               kBenchFlagLoops | kBenchFlagPmu,
+                               kBenchFlagLoops,
                            "BENCH_fig8b.json", o))
         return 2;
-    startBenchPmu(o);
 
     std::printf("=== Figure 8b: normalized instruction fetch power "
                 "===\n\n");
@@ -106,8 +101,6 @@ main(int argc, char **argv)
                     "buffer) ===\n\n");
         dumpLoopScorecards(OptLevel::Aggressive, 256);
     }
-    if (!o.json && o.pmu)
-        finishBenchPmu(o); // table only — no document to carry it
     if (o.json) {
         using obs::Json;
         Json doc = benchJsonDoc("fig8b");
@@ -136,9 +129,6 @@ main(int argc, char **argv)
         // Closed cycle accounting of the transformed-buffered runs
         // (aggressive, 256-op buffer), summed over every workload.
         doc.set("cycle_stack", cycleStackJson(cycles));
-
-        // Host-variant counters (PerPoint: recorded, never gated).
-        doc.set("pmu", finishBenchPmu(o));
 
         writeBenchJson(o.jsonPath, doc);
         if (!o.historyPath.empty())

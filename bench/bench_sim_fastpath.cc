@@ -27,7 +27,6 @@
  *
  * Usage: bench_sim_fastpath [--quick] [--json[=PATH]]
  *                           [--history[=PATH]] [--threads=N] [--prof]
- *                           [--pmu]
  *   --quick        3 workloads, 2 buffer sizes (smoke / ctest perf)
  *   --json[=P]     write machine-readable timings (default path
  *                  BENCH_sim_fastpath.json in the working directory)
@@ -37,10 +36,6 @@
  *   --prof         sample the whole run with the lbp::obs::prof
  *                  self-profiler and print the region split (host
  *                  wall time only — never part of the JSON)
- *   --pmu          attribute host hardware counters (IPC,
- *                  branch/cache misses) to the same regions; the
- *                  "pmu" JSON block is host-variant, recorded but
- *                  never gated
  */
 
 #include <chrono>
@@ -188,7 +183,7 @@ writeJson(const std::string &path, const std::string &historyPath,
           int threads, bool quick, const TraceCacheStats &tc,
           std::uint64_t fastOpsFromBuffer,
           const std::vector<WorkloadReplay> &perWorkload,
-          const obs::CycleRow &cycles, obs::Json pmu)
+          const obs::CycleRow &cycles)
 {
     using obs::Json;
 
@@ -299,9 +294,6 @@ writeJson(const std::string &path, const std::string &historyPath,
     // (decoded engine, trace cache on).
     doc.set("cycle_stack", cycleStackJson(cycles));
 
-    // Host-variant counters (PerPoint: recorded, never gated).
-    doc.set("pmu", std::move(pmu));
-
     Json pts = Json::array();
     for (const SweepPoint &p : points) {
         const SweepTask &t = tasks[p.task];
@@ -332,8 +324,7 @@ main(int argc, char **argv)
     if (!parseBenchOptions(argc, argv,
                            kBenchFlagQuick | kBenchFlagJson |
                                kBenchFlagHistory |
-                               kBenchFlagThreads | kBenchFlagProf |
-                               kBenchFlagPmu,
+                               kBenchFlagThreads | kBenchFlagProf,
                            "BENCH_sim_fastpath.json", o))
         return 2;
     if (o.prof &&
@@ -342,7 +333,6 @@ main(int argc, char **argv)
                              "timer on this system\n");
         return 1;
     }
-    startBenchPmu(o);
 
     // Fail on an unwritable JSON path before the sweep, not after.
     if (o.json) {
@@ -542,9 +532,6 @@ main(int argc, char **argv)
         writeJson(o.jsonPath, o.historyPath, names, sizes, tasks,
                   points, refWallMs, fastWallMs, refSimMs, fastSimMs,
                   pool.threadCount(), o.quick, tcTotal,
-                  fastOpsFromBuffer, perWorkload, cycleTotal,
-                  finishBenchPmu(o));
-    else if (o.pmu)
-        finishBenchPmu(o); // table only — no document to carry it
+                  fastOpsFromBuffer, perWorkload, cycleTotal);
     return 0;
 }

@@ -18,14 +18,12 @@
 # builds; the live-sampling case is additionally run by name so a
 # filter change cannot silently drop it, and so is the closed
 # cycle-accounting invariant — every simulated cycle in exactly one
-# CycleClass, both engines, trace cache on and off). Both sanitizer
-# builds also run the host-PMU backend (ObsPmu tests + the lbp_stats
-# pmu smoke), which must exit 0 whether or not this host exposes
-# hardware counters. Finishes with the bench
-# regression gate: re-runs the figure benches and diffs their JSON
-# against the checked-in BENCH_*.json baselines — counters exact,
-# timings and the machine block tolerated (lbp_stats diff policy) —
-# and the cold end-to-end benchmark's self-test (perfbench/selftest.py).
+# CycleClass, both engines, trace cache on and off). Finishes with
+# the bench regression gate: re-runs the figure benches and diffs
+# their JSON against the checked-in BENCH_*.json baselines — counters
+# exact, timings and the machine block tolerated (lbp_stats diff
+# policy) — and the cold end-to-end benchmark's self-test
+# (perfbench/selftest.py).
 #
 # Usage: scripts/check.sh [build-dir]   (default: build-check)
 
@@ -67,14 +65,6 @@ LBP_SIM_NO_TRACE_CACHE=1 \
 "$BUILD"/tools/lbp_stats prof adpcm_dec \
     --out="$BUILD"/adpcm_dec.folded >/dev/null
 test -s "$BUILD"/adpcm_dec.folded
-
-# Host-counter smoke: `pmu` must exit 0 on EVERY host — with a usable
-# PMU it prints the per-region counter table, without one (VMs,
-# containers, perf_event_paranoid) it names the reason and publishes
-# pmu.available=0. The cli pmu_smoke ctest case above has already
-# checked the dump's shape for whichever arm this host takes.
-"$BUILD"/tools/lbp_stats pmu adpcm_dec --reps=2 >/dev/null
-"$BUILD"/bench/bench_fig8b_power --pmu >/dev/null
 
 # Sanitizer pass: ASan + UBSan over the observability surface. Debug
 # (-O1) keeps stacks honest while staying fast enough for the smoke.
@@ -138,12 +128,6 @@ LBP_SIM_NO_TRACE_CACHE=1 \
 "$SAN_BUILD"/tools/lbp_stats explain \
     "$SAN_BUILD"/adpcm_dec.stats.json \
     "$SAN_BUILD"/adpcm_dec.stats.json >/dev/null
-# Host-counter backend under ASan, by name: counter fd lifecycle,
-# region-hook install/uninstall, and the graceful-unavailability arm
-# (or live counting, host permitting).
-"$SAN_BUILD"/tests/lbp_obs_tests --gtest_filter='ObsPmu.*' \
-    --gtest_brief=1
-"$SAN_BUILD"/tools/lbp_stats pmu adpcm_dec --reps=2 >/dev/null
 
 # TSan pass: the thread pool plus concurrent obs-registry updates
 # (tests/test_obs_concurrency.cc) are the only intentionally
@@ -164,12 +148,6 @@ ctest --test-dir "$TSAN_BUILD" --output-on-failure -L obs
 "$TSAN_BUILD"/tests/lbp_obs_tests \
     --gtest_filter='LoopScorecard.AttributionInvariantBothEnginesAllWorkloads:CycleStack.*' \
     --gtest_brief=1
-# Host-counter backend under TSan, by name: the region hook fires on
-# every marker transition while snapshot() reads the per-region
-# atomics cross-thread.
-"$TSAN_BUILD"/tests/lbp_obs_tests --gtest_filter='ObsPmu.*' \
-    --gtest_brief=1
-"$TSAN_BUILD"/tools/lbp_stats pmu adpcm_dec --reps=2 >/dev/null
 
 # Bench regression gate: figure results must match the checked-in
 # baselines counter-exact (fractions, energies, cycles); wall-clock

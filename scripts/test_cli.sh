@@ -40,17 +40,17 @@
 #                 overflowing and non-finite values exit 2 with a
 #                 message naming the flag and the value, before any
 #                 compilation starts; in-range values still run.
+#   unknown_workload
+#                 every workload-taking command (run, trace, loops,
+#                 report, prof) rejects an unknown workload name with
+#                 exit 2, naming it and listing the valid names,
+#                 before anything runs.
 #   prof_smoke    `prof` samples a repeated workload run, prints the
 #                 region table with an attribution line, and exports
 #                 non-empty collapsed stacks; on a kernel without
 #                 per-thread CPU timers the command degrades to a
 #                 clear exit-1 message instead (both outcomes pass
 #                 the case).
-#   pmu_smoke     `pmu` exits 0 on EVERY host: with a usable PMU it
-#                 prints the per-region counter table; without one
-#                 (VMs, containers, perf_event_paranoid) it names
-#                 the reason and the --json registry dump publishes
-#                 pmu.available=0. Both arms check the dump.
 #   explain_missing
 #                 `explain` on a document without cycle-class keys is
 #                 a diagnosable input error: exit 2, the message names
@@ -232,7 +232,7 @@ case "$CASE" in
     [ -s "$TMP/r.html" ] || fail "report wrote no output"
 
     for anchor in meta gate trajectories metrics histograms \
-                  scorecard cycles phases prof pmu; do
+                  scorecard cycles phases prof; do
         grep -q "id=\"$anchor\"" "$TMP/r.html" \
             || fail "report is missing section #$anchor"
     done
@@ -301,6 +301,20 @@ case "$CASE" in
         || fail "--capacity=1 --sample=3 should be accepted"
     ;;
 
+  unknown_workload)
+    for cmd in run trace loops report prof; do
+        "$LBP_STATS" $cmd nosuch --out="$TMP/out" > /dev/null \
+            2> "$TMP/err.txt"
+        rc=$?
+        [ $rc -eq 2 ] || fail "$cmd nosuch exited $rc, want 2"
+        grep -qF "unknown workload 'nosuch'" "$TMP/err.txt" \
+            || fail "$cmd: error should name the rejected workload"
+        grep -q '^  adpcm_enc ' "$TMP/err.txt" \
+            || fail "$cmd: error should list the valid workloads"
+        [ -e "$TMP/out" ] && fail "$cmd wrote output for a bad name"
+    done
+    ;;
+
   prof_smoke)
     "$LBP_STATS" prof adpcm_enc --reps=20 --out="$TMP/stacks.folded" \
         > "$TMP/prof.txt" 2> "$TMP/prof.err"
@@ -322,35 +336,6 @@ case "$CASE" in
     # Collapsed-stack lines are "path;leaf <count>".
     grep -qE '^[A-Za-z][^ ]* [0-9]+$' "$TMP/stacks.folded" \
         || fail "collapsed stacks are malformed"
-    ;;
-
-  pmu_smoke)
-    "$LBP_STATS" pmu adpcm_enc --reps=2 --json="$TMP/pmu.json" \
-        > "$TMP/pmu.txt" 2> "$TMP/pmu.err"
-    rc=$?
-    [ $rc -eq 0 ] || fail "pmu exited $rc, want 0 on every host"
-    [ -s "$TMP/pmu.json" ] || fail "pmu --json wrote no dump"
-    if grep -q 'host pmu unavailable' "$TMP/pmu.txt"; then
-        # The graceful arm: the reason is printed and the dump says
-        # available=0 — downstream tooling sees "no data", never a
-        # silent gap or a crash.
-        grep -q '"pmu\.available": 0' "$TMP/pmu.json" \
-            || fail "unavailable pmu should publish pmu.available=0"
-        grep -q '"pmu\.reason"' "$TMP/pmu.json" \
-            || fail "unavailable pmu should publish its reason"
-    else
-        grep -q 'region' "$TMP/pmu.txt" \
-            || fail "pmu output should print the region table"
-        grep -q 'attributed to named regions' "$TMP/pmu.txt" \
-            || fail "pmu output should report attribution quality"
-        grep -q '"pmu\.available": 1' "$TMP/pmu.json" \
-            || fail "available pmu should publish pmu.available=1"
-        grep -q '"pmu\.total\.cycles"' "$TMP/pmu.json" \
-            || fail "available pmu should publish total cycles"
-    fi
-    # The dump is a normal registry document either way.
-    grep -q '"sim\.cycles"' "$TMP/pmu.json" \
-        || fail "pmu --json should carry the workload's counters"
     ;;
 
   explain_missing)

@@ -377,14 +377,6 @@ classifyKey(const std::string &key)
     const std::string seg = lastSegment(key);
     if (seg == "threads" || seg == "description" || key == "bench")
         return KeyClass::Identity;
-    // Host PMU readings vary per machine and per run; never gate
-    // them. The trailing dot matters: a key that merely ends in "pmu"
-    // stays Exact, so only the "pmu." namespaces match — either
-    // as the key's own prefix (bench docs flatten plain dotted) or as
-    // the unescaped metric name's prefix (registry dumps flatten each
-    // metric to one escaped segment).
-    if (key.rfind("pmu.", 0) == 0 || seg.rfind("pmu.", 0) == 0)
-        return KeyClass::PerPoint;
     // Per-workload drill-down blocks (e.g. the sim_fastpath
     // trace_cache.per_workload.* coverage split) are recorded but
     // never gated: the gated signal is the aggregate, and holding

@@ -135,9 +135,6 @@ unsigned gHz = kDefaultHz;
 
 thread_local ThreadState *tlsState = nullptr;
 
-/** Region-transition observer (obs/pmu); nullptr when idle. */
-std::atomic<RegionHook> gRegionHook{nullptr};
-
 /** Handler probe bound; below kPathTableSize only under test. */
 std::atomic<std::size_t> gPathLimit{kPathTableSize};
 
@@ -289,12 +286,6 @@ resetTablesLocked()
 } // namespace
 
 void
-setRegionHook(RegionHook hook)
-{
-    gRegionHook.store(hook, std::memory_order_relaxed);
-}
-
-void
 setPathTableLimitForTest(std::size_t n)
 {
     gPathLimit.store(n == 0 || n > kPathTableSize ? kPathTableSize
@@ -339,9 +330,6 @@ ScopedRegion::ScopedRegion(std::uint8_t id)
     // Slot must be visible before the depth that exposes it.
     std::atomic_signal_fence(std::memory_order_release);
     ts->depth.store(d + 1, std::memory_order_relaxed);
-    if (RegionHook hook =
-            gRegionHook.load(std::memory_order_relaxed))
-        hook(id);
 }
 
 ScopedRegion::~ScopedRegion()
@@ -354,20 +342,6 @@ ScopedRegion::~ScopedRegion()
     std::atomic_signal_fence(std::memory_order_release);
     if (d > 0)
         ts->depth.store(d - 1, std::memory_order_relaxed);
-    if (RegionHook hook =
-            gRegionHook.load(std::memory_order_relaxed)) {
-        // The new innermost after the pop: the slot below the one
-        // just vacated. Depths past kMaxStack never stored a slot,
-        // so clamp to the deepest stored id.
-        std::uint8_t inner =
-            static_cast<std::uint8_t>(Region::None);
-        if (d >= 2) {
-            const std::uint32_t slot =
-                std::min<std::uint32_t>(d - 2, kMaxStack - 1);
-            inner = ts->stack[slot].load(std::memory_order_relaxed);
-        }
-        hook(inner);
-    }
 }
 
 Profiler &

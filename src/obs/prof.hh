@@ -114,20 +114,6 @@ struct Snapshot
 std::string collapsedStacks(const Snapshot &s);
 
 /**
- * Region-transition observer: called by ScopedRegion with the new
- * innermost region id after every push and pop on the calling
- * thread. One consumer (obs/pmu reads hardware counters on each
- * transition); installing a second overwrites the first. The hook
- * runs on the transitioning thread, outside any profiler lock, and
- * must not construct ScopedRegions. When no hook is installed the
- * cost per transition is one relaxed load and a predicted branch.
- */
-using RegionHook = void (*)(std::uint8_t innermost);
-
-/** Install (or clear, with nullptr) the region-transition hook. */
-void setRegionHook(RegionHook hook);
-
-/**
  * Test-only: cap the SIGPROF handler's path-table probe at @p n
  * slots (0 restores kPathTableSize) so a unit test can force the
  * dropped-sample path without generating 64 distinct stacks.

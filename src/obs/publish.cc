@@ -134,66 +134,6 @@ publishCycleStack(Registry &r, const CycleStack &cs,
     r.counter(prefix + ".total").set(sum);
 }
 
-namespace
-{
-
-/** Raw counts + derived rates for one labeled CounterRow. */
-void
-publishPmuRow(Registry &r, const std::string &prefix,
-              const pmu::Snapshot &s, const std::string &label,
-              const pmu::CounterRow &row)
-{
-    using pmu::PmuCounter;
-    const std::string p = prefix + "." + label + ".";
-    for (std::size_t i = 0; i < pmu::kNumPmuCounters; ++i) {
-        if (!s.counterPresent[i])
-            continue;
-        r.counter(p + pmu::pmuCounterName(
-                          static_cast<PmuCounter>(i)))
-            .set(row[i]);
-    }
-    auto v = [&](PmuCounter c) {
-        return static_cast<double>(
-            row[static_cast<std::size_t>(c)]);
-    };
-    auto has = [&](PmuCounter c) {
-        return s.counterPresent[static_cast<std::size_t>(c)];
-    };
-    const double cycles = v(PmuCounter::Cycles);
-    const double instructions = v(PmuCounter::Instructions);
-    if (has(PmuCounter::Instructions) && cycles > 0)
-        r.gauge(p + "ipc").set(instructions / cycles);
-    if (has(PmuCounter::Branches) && has(PmuCounter::BranchMisses)
-        && v(PmuCounter::Branches) > 0)
-        r.gauge(p + "branchMissPct")
-            .set(100.0 * v(PmuCounter::BranchMisses) /
-                 v(PmuCounter::Branches));
-    if (has(PmuCounter::CacheMisses)
-        && has(PmuCounter::Instructions) && instructions > 0)
-        r.gauge(p + "cacheMpki")
-            .set(1000.0 * v(PmuCounter::CacheMisses) /
-                 instructions);
-}
-
-} // namespace
-
-void
-publishPmu(Registry &r, const pmu::Snapshot &s,
-           const std::string &prefix)
-{
-    r.intGauge(prefix + ".available").set(s.available ? 1 : 0);
-    if (!s.available) {
-        r.info(prefix + ".reason", s.reason);
-        return;
-    }
-    r.gauge(prefix + ".attributedCycleFraction")
-        .set(s.attributedCycleFraction());
-    for (const auto &region : s.regions)
-        publishPmuRow(r, prefix, s, region.label, region.counts);
-    publishPmuRow(r, prefix, s, "total", s.total);
-    publishPmuRow(r, prefix, s, "untracked", s.untracked);
-}
-
 void
 publishFetchEnergy(Registry &r, const FetchEnergy &e,
                    const std::string &prefix)

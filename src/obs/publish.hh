@@ -12,7 +12,6 @@
 
 #include <string>
 
-#include "obs/pmu.hh"
 #include "obs/registry.hh"
 #include "power/fetch_energy.hh"
 #include "sim/vliw_sim.hh"
@@ -54,20 +53,6 @@ void publishTraceCacheStats(Registry &r, const TraceCacheStats &s,
  */
 void publishCycleStack(Registry &r, const CycleStack &cs,
                        const std::string &prefix = "sim.cycles");
-
-/**
- * Publish a host PMU snapshot: "<prefix>.available" (0/1) always,
- * and when unavailable an info "<prefix>.reason" and nothing else —
- * so a restricted host's dump differs from a stub build's only by
- * that pair. When available, raw counts go to
- * "<prefix>.<region>.<counter>" (absent counters skipped) plus
- * "<prefix>.total.*" / "<prefix>.untracked.*" rows, with derived
- * gauges "<prefix>.<region>.{ipc,branchMissPct,cacheMpki}" and
- * "<prefix>.attributedCycleFraction". Everything under "pmu." is
- * host-variant and therefore PerPoint to the history gate.
- */
-void publishPmu(Registry &r, const pmu::Snapshot &s,
-                const std::string &prefix = "pmu");
 
 /** Publish one FetchEnergy breakdown under @p prefix. */
 void publishFetchEnergy(Registry &r, const FetchEnergy &e,

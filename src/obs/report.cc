@@ -731,96 +731,6 @@ writeProfSection(std::ostream &os, const ReportData &d)
     os << "</section>\n";
 }
 
-/**
- * Host hardware counters for the same run, from the perf_event_open
- * backend. Bars are the per-region cycle share; each row's value cell
- * carries the derived rates (IPC, branch-miss %, cache MPKI) when the
- * underlying counters were present. Reports from hosts without a PMU
- * (VMs, restricted perf_event_paranoid) render
- * the recorded reason instead, so "no data" is always distinguishable
- * from "forgot to measure".
- */
-void
-writePmuSection(std::ostream &os, const ReportData &d)
-{
-    const bool have = d.pmu.kind() == Json::Kind::Object;
-    const Json *avail = have ? d.pmu.find("available") : nullptr;
-    if (!avail || !avail->asBool()) {
-        os << "<section id=\"pmu\"><h2>Host hardware counters"
-              "</h2><p class=\"muted\">";
-        const Json *reason = have ? d.pmu.find("reason") : nullptr;
-        if (reason)
-            os << "host pmu unavailable: "
-               << htmlEscape(reason->asString());
-        else
-            os << "no host counters in this document";
-        os << "</p></section>\n";
-        return;
-    }
-
-    struct Row
-    {
-        std::string label;
-        const Json *cells;
-        double cycles;
-    };
-    std::vector<Row> rows;
-    auto addRow = [&](const std::string &label, const Json *cells) {
-        if (!cells || cells->kind() != Json::Kind::Object)
-            return;
-        const Json *cyc = cells->find("cycles");
-        if (cyc && cyc->isNumber())
-            rows.push_back({label, cells, cyc->asDouble()});
-    };
-    if (const Json *regions = d.pmu.find("regions"))
-        for (const auto &kv : regions->members())
-            addRow(kv.first, &kv.second);
-    std::stable_sort(rows.begin(), rows.end(),
-                     [](const Row &a, const Row &b) {
-                         return a.cycles > b.cycles;
-                     });
-    addRow("untracked", d.pmu.find("untracked"));
-
-    double totalCycles = 0;
-    if (const Json *total = d.pmu.find("total"))
-        if (const Json *cyc = total->find("cycles"))
-            totalCycles = cyc->asDouble();
-    double maxCycles = 0;
-    for (const auto &r : rows)
-        maxCycles = std::max(maxCycles, r.cycles);
-
-    os << "<section id=\"pmu\"><h2>Host hardware counters</h2>"
-       << "<p class=\"muted\">" << fmt(totalCycles)
-       << " cycles measured via perf_event_open while generating "
-          "this report";
-    if (const Json *af = d.pmu.find("attributedCycleFraction"))
-        os << " &middot; " << fmt(100.0 * af->asDouble())
-           << "% attributed to named regions";
-    os << "</p>";
-    for (const auto &r : rows) {
-        const double pct =
-            maxCycles > 0 ? 100.0 * r.cycles / maxCycles : 0;
-        const double share =
-            totalCycles > 0 ? 100.0 * r.cycles / totalCycles : 0;
-        os << "<div class=\"barrow\"><div class=\"lbl\">"
-           << htmlEscape(r.label)
-           << "</div><div class=\"track\"><div class=\"bar\" "
-              "style=\"width:"
-           << fmt(pct) << "%\"></div></div><div class=\"val\">"
-           << fmt(share) << "% of cycles";
-        if (const Json *ipc = r.cells->find("ipc"))
-            os << " &middot; ipc " << fmt(ipc->asDouble());
-        if (const Json *bm = r.cells->find("branchMissPct"))
-            os << " &middot; br-miss " << fmt(bm->asDouble())
-               << "%";
-        if (const Json *mpki = r.cells->find("cacheMpki"))
-            os << " &middot; " << fmt(mpki->asDouble())
-               << " mpki";
-        os << "</div></div>";
-    }
-    os << "</section>\n";
-}
-
 } // namespace
 
 std::string
@@ -862,7 +772,6 @@ writeHtmlReport(std::ostream &os, const ReportData &data)
     writeCyclesSection(os, data);
     writePhasesSection(os, data);
     writeProfSection(os, data);
-    writePmuSection(os, data);
 
     os << "<footer>generated by lbp_stats report &middot; "
        << htmlEscape(versionString())

@@ -25,10 +25,6 @@
  *   #prof          "where the host cycles go": the sampling
  *                  self-profiler's region split for the run that
  *                  produced this report, as a bar chart
- *   #pmu           host hardware counters (perf_event_open) per
- *                  region for the same run: cycle share bars with
- *                  IPC / branch-miss / cache-miss annotations, or an
- *                  explicit unavailability note with the reason
  */
 
 #ifndef LBP_OBS_REPORT_HH
@@ -55,10 +51,6 @@ struct ReportData
     Json prof;          ///< self-profile snapshot (Null to omit):
                         ///< {samples, untracked, dropped,
                         ///<  attributed_fraction, regions:{label:n}}
-    Json pmu;           ///< pmu::snapshotJson() (Null to omit):
-                        ///< {available, reason | counters, regions,
-                        ///<  untracked, total,
-                        ///<  attributedCycleFraction}
     std::vector<HistoryRecord> history; ///< full store, all sources
     std::string historyPath; ///< display only ("" when no store)
 };

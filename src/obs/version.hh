@@ -33,13 +33,14 @@ class Json;
  *    2  shared obs::Json emitter; adds "machine" and "config"
  *    3  adds the "git_sha" build-identity stamp
  *    4  adds the "cycle_stack" closed cycle-accounting block
- *    5  adds the "pmu" host-counter block (PerPoint: recorded,
- *       never gated) and the "build.pmu" config bool
+ *    5  adds the host hardware-counter block (PerPoint: recorded,
+ *       never gated) and its build config bool
  *    6  sim_fastpath: adds trace_cache.pred_replay.* counters, the
  *       trace_cache.per_workload.* coverage split (PerPoint), and
  *       the nestedLoop/multiBackedge bailout reasons
+ *    7  drops the host hardware-counter block
  */
-constexpr int kBenchSchemaVersion = 6;
+constexpr int kBenchSchemaVersion = 7;
 
 /** BENCH_history.jsonl record layout version (see history.hh). */
 constexpr int kHistorySchemaVersion = 1;

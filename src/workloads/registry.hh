@@ -25,6 +25,12 @@ struct WorkloadInfo
 /** All benchmark names, in the paper's Table-1 order. */
 std::vector<WorkloadInfo> allWorkloads();
 
+/**
+ * Does buildWorkload accept @p name? True for the Table-1 names and
+ * for the Figure-5 kernel "post_filter_only".
+ */
+bool isWorkload(const std::string &name);
+
 /** Build a fresh Program for @p name; fatal on unknown names. */
 Program buildWorkload(const std::string &name);
 

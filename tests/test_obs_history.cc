@@ -262,21 +262,6 @@ TEST(ObsHistory, ClassifyKeyPolicies)
     EXPECT_EQ(obs::classifyKey("metrics.0\\.ms.v.ms"),
               KeyClass::Timing);
 
-    // Host PMU counters are host-variant by definition (different
-    // machine, different cycles), so the whole pmu block is per-point:
-    // recorded in the document, never gated. Both the bench-doc form
-    // and the registry's escaped-segment form classify the same way.
-    EXPECT_EQ(obs::classifyKey("pmu.regions.bench.cycles"),
-              KeyClass::PerPoint);
-    EXPECT_EQ(obs::classifyKey("pmu.available"),
-              KeyClass::PerPoint);
-    EXPECT_EQ(obs::classifyKey("metrics.pmu\\.total\\.ipc"),
-              KeyClass::PerPoint);
-    // The build-config bool is NOT a measurement: "build.pmu" must
-    // stay exact so differently-configured builds fail the gate
-    // loudly instead of averaging into one timeline.
-    EXPECT_EQ(obs::classifyKey("build.pmu"), KeyClass::Exact);
-
     // Per-workload drill-down blocks are recorded but never gated;
     // the aggregate leaves next to them stay exact.
     EXPECT_EQ(obs::classifyKey("trace_cache.per_workload.g724_dec"
@@ -571,12 +556,13 @@ TEST(ObsReport, HtmlIsSelfContainedWithAllSections)
     for (const char *anchor :
          {"id=\"meta\"", "id=\"gate\"", "id=\"trajectories\"",
           "id=\"metrics\"", "id=\"histograms\"", "id=\"scorecard\"",
-          "id=\"phases\"", "id=\"pmu\"", "class=\"spark\"", "<svg"})
+          "id=\"phases\"", "id=\"prof\"", "class=\"spark\"",
+          "<svg"})
         EXPECT_NE(html.find(anchor), std::string::npos) << anchor;
 
-    // No pmu data in this document: the section renders an explicit
-    // placeholder, never silently disappears.
-    EXPECT_NE(html.find("no host counters in this document"),
+    // No self-profile in this document: the section renders an
+    // explicit placeholder, never silently disappears.
+    EXPECT_NE(html.find("no self-profile in this document"),
               std::string::npos);
 
     // Self-contained: no external fetches of any kind.
@@ -588,7 +574,7 @@ TEST(ObsReport, HtmlIsSelfContainedWithAllSections)
     EXPECT_EQ(obs::htmlEscape("a<b&\"c\""), "a&lt;b&amp;&quot;c&quot;");
 }
 
-TEST(ObsReport, ProfAndPmuSectionsCarryDiagnostics)
+TEST(ObsReport, ProfSectionCarriesDiagnostics)
 {
     obs::Registry reg;
     obs::ReportData data;
@@ -607,39 +593,11 @@ TEST(ObsReport, ProfAndPmuSectionsCarryDiagnostics)
     prof.set("regions", std::move(profRegions));
     data.prof = std::move(prof);
 
-    // An available pmu snapshot renders share bars with derived rates.
-    Json row = Json::object();
-    row.set("cycles", Json::uinteger(900));
-    row.set("ipc", Json::number(2.5));
-    row.set("branchMissPct", Json::number(1.25));
-    Json pmuRegions = Json::object();
-    pmuRegions.set("simDispatch", std::move(row));
-    Json total = Json::object();
-    total.set("cycles", Json::uinteger(1000));
-    Json pmu = Json::object();
-    pmu.set("available", Json::boolean(true));
-    pmu.set("attributedCycleFraction", Json::number(0.9));
-    pmu.set("regions", std::move(pmuRegions));
-    pmu.set("total", std::move(total));
-    data.pmu = std::move(pmu);
-
     std::ostringstream os;
     obs::writeHtmlReport(os, data);
     const std::string html = os.str();
-    EXPECT_NE(html.find("samples dropped"), std::string::npos);
-    EXPECT_NE(html.find("simDispatch"), std::string::npos);
-    EXPECT_NE(html.find("ipc 2.5"), std::string::npos);
-    EXPECT_NE(html.find("br-miss 1.25"), std::string::npos);
-
-    // An unavailable snapshot renders its recorded reason verbatim.
-    Json off = Json::object();
-    off.set("available", Json::boolean(false));
-    off.set("reason", Json::str("perf_event_open: unit test"));
-    data.pmu = std::move(off);
-    std::ostringstream os2;
-    obs::writeHtmlReport(os2, data);
-    EXPECT_NE(os2.str().find(
-                  "host pmu unavailable: perf_event_open: unit test"),
+    EXPECT_NE(html.find("10 samples dropped"), std::string::npos);
+    EXPECT_NE(html.find("85% attributed to named regions"),
               std::string::npos);
 }
 

@@ -32,6 +32,16 @@ TEST(Workloads, UnknownNameThrows)
     EXPECT_THROW(workloads::buildWorkload("nope"), std::runtime_error);
 }
 
+TEST(Workloads, IsWorkloadNamesWhatBuildWorkloadAccepts)
+{
+    for (const auto &w : workloads::allWorkloads())
+        EXPECT_TRUE(workloads::isWorkload(w.name)) << w.name;
+    EXPECT_TRUE(workloads::isWorkload("post_filter_only"));
+    EXPECT_NO_THROW(workloads::buildWorkload("post_filter_only"));
+    EXPECT_FALSE(workloads::isWorkload("nope"));
+    EXPECT_FALSE(workloads::isWorkload(""));
+}
+
 class WorkloadTest : public ::testing::TestWithParam<std::string>
 {
 };

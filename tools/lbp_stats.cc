@@ -16,8 +16,6 @@
  *   lbp_stats history prune --keep=N       keep newest N per source
  *   lbp_stats report <workload> [options]  single-file HTML report
  *   lbp_stats prof <workload> [options]    sampling self-profile
- *   lbp_stats pmu <workload> [options]     host hardware counters by
- *                                          region (perf_event_open)
  *   lbp_stats --trace <workload>           alias for `trace`
  *   lbp_stats --version                    git SHA + schema versions
  *
@@ -52,13 +50,7 @@
  *   --hz=N --reps=N                  `prof` sampling rate (1..100000)
  *                                    / workload repetitions (reps=0
  *                                    sizes the run for a stable
- *                                    sample count; `pmu` defaults to
- *                                    3 reps)
- *   --cpi                            `explain` also joins the two
- *                                    documents' host "pmu" blocks:
- *                                    host per-region IPC and branch
- *                                    miss movement next to the
- *                                    simulated cycle delta
+ *                                    sample count)
  *   --verbose                        `history check` prints every key
  *
  * Every numeric flag must be one whole base-10 number inside its
@@ -88,7 +80,6 @@
 #include <iostream>
 #include <limits>
 #include <map>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <type_traits>
@@ -98,7 +89,6 @@
 #include "obs/history.hh"
 #include "obs/json.hh"
 #include "obs/loop_report.hh"
-#include "obs/pmu.hh"
 #include "obs/prof.hh"
 #include "obs/publish.hh"
 #include "obs/registry.hh"
@@ -145,7 +135,6 @@ struct Options
     int reps = 0;  ///< prof repetitions; 0 = auto (sample target)
     int keep = 0;  ///< history prune: newest N records per source
     bool cycles = false;  ///< loops: print the per-loop cycle stack
-    bool cpi = false;     ///< explain: host-vs-simulated CPI join
     bool verbose = false;
 };
 
@@ -162,7 +151,7 @@ usage()
         << "       lbp_stats loops <workload> [--level=L] [--buffer=N]\n"
         << "                 [--engine=E] [--json=F] [--sort=S]\n"
         << "                 [--cycles]\n"
-        << "       lbp_stats explain <a.json> <b.json> [--cpi]\n"
+        << "       lbp_stats explain <a.json> <b.json>\n"
         << "       lbp_stats history append <doc.json> [--history=F]\n"
         << "                 [--source=NAME]\n"
         << "       lbp_stats history list [--history=F]\n"
@@ -175,8 +164,6 @@ usage()
         << "       lbp_stats prof <workload> [--hz=N] [--reps=N]\n"
         << "                 [--out=F] [--level=L] [--buffer=N]\n"
         << "                 [--engine=E] [--json=F]\n"
-        << "       lbp_stats pmu <workload> [--reps=N] [--level=L]\n"
-        << "                 [--buffer=N] [--engine=E] [--json=F]\n"
         << "       lbp_stats list\n"
         << "       lbp_stats --version\n"
         << "\nworkloads:\n";
@@ -316,8 +303,6 @@ parseArgs(int argc, char **argv, Options &o)
                 return false;
         } else if (arg == "--cycles") {
             o.cycles = true;
-        } else if (arg == "--cpi") {
-            o.cpi = true;
         } else if (arg == "--verbose") {
             o.verbose = true;
         } else if (!arg.empty() && arg[0] == '-') {
@@ -489,12 +474,6 @@ diffBenchJson(const obs::Json &a, const obs::Json &b,
         for (const auto &k : keys) {
             if (k == "machine" || k == "git_sha" ||
                 timingTolerantKey(k))
-                continue;
-            // The top-level "pmu" block is host hardware counters —
-            // per-machine, per-run values, never comparable across
-            // dumps (the history gate classes them PerPoint for the
-            // same reason).
-            if (path.empty() && k == "pmu")
                 continue;
             const Json *va = a.find(k);
             const Json *vb = b.find(k);
@@ -840,93 +819,6 @@ collectCycleLeaves(const obs::Json &node, const std::string &path,
 }
 
 /**
- * The --cpi cross-view: join the two documents' host "pmu" blocks
- * (schema v5 bench JSON or `lbp_stats pmu --json` dumps) so host
- * per-region IPC and branch-miss movement reads next to the
- * simulated cycle delta printed above it — "the simulator charges
- * more branch-penalty cycles AND the host now mispredicts in
- * simDispatch" is one view. Degrades to an explicit per-document
- * note when either side has no usable host counters.
- */
-void
-printHostCpi(const obs::Json &a, const obs::Json &b)
-{
-    using obs::Json;
-    std::cout << "\nhost cpi cross-view (--cpi):\n";
-
-    auto regionsOf = [](const Json &doc,
-                        std::string &note) -> const Json * {
-        const Json *pmu = doc.find("pmu");
-        if (!pmu) {
-            note = "no \"pmu\" block (schema v5 bench JSON or "
-                   "`lbp_stats pmu --json` dump)";
-            return nullptr;
-        }
-        const Json *avail = pmu->find("available");
-        if (!avail || !avail->asBool()) {
-            note = "host counters unavailable";
-            if (const Json *reason = pmu->find("reason"))
-                note += ": " + reason->asString();
-            return nullptr;
-        }
-        return pmu->find("regions");
-    };
-
-    std::string noteA, noteB;
-    const Json *ra = regionsOf(a, noteA);
-    const Json *rb = regionsOf(b, noteB);
-    if (!ra || !rb) {
-        if (!ra)
-            std::cout << "  a: " << noteA << "\n";
-        if (!rb)
-            std::cout << "  b: " << noteB << "\n";
-        return;
-    }
-
-    std::map<std::string, char> labels;
-    for (const auto &kv : ra->members())
-        labels[kv.first] = 1;
-    for (const auto &kv : rb->members())
-        labels[kv.first] = 1;
-
-    auto field = [](const Json *row, const char *key, double &out) {
-        if (!row)
-            return false;
-        const Json *v = row->find(key);
-        if (!v || !v->isNumber())
-            return false;
-        out = v->asDouble();
-        return true;
-    };
-    std::cout << "  region                 ipc a -> b        "
-                 "br-miss% a -> b\n";
-    for (const auto &lv : labels) {
-        const Json *qa = ra->find(lv.first);
-        const Json *qb = rb->find(lv.first);
-        double ipcA = 0, ipcB = 0, brA = 0, brB = 0;
-        const bool hasIpc =
-            field(qa, "ipc", ipcA) && field(qb, "ipc", ipcB);
-        const bool hasBr = field(qa, "branchMissPct", brA) &&
-                           field(qb, "branchMissPct", brB);
-        char line[128];
-        char ipc[32], br[32];
-        if (hasIpc)
-            std::snprintf(ipc, sizeof(ipc), "%5.2f -> %5.2f", ipcA,
-                          ipcB);
-        else
-            std::snprintf(ipc, sizeof(ipc), "     -");
-        if (hasBr)
-            std::snprintf(br, sizeof(br), "%6.2f -> %6.2f", brA,
-                          brB);
-        else
-            std::snprintf(br, sizeof(br), "     -");
-        std::snprintf(line, sizeof(line), "  %-22s %-17s %s\n",
-                      lv.first.c_str(), ipc, br);
-        std::cout << line;
-    }
-}
-
-/**
  * Decompose the simulated-cycle delta between two documents by
  * CycleClass x context (loop row, workload stack, registry counter —
  * any grouping either document carries). Prints the grand total, the
@@ -1043,8 +935,6 @@ cmdExplain(const Options &o)
             std::cout << "  ... " << entries.size() - kMaxEntries
                       << " further mover(s) elided\n";
     }
-    if (o.cpi)
-        printHostCpi(a, b);
     return 0;
 }
 
@@ -1079,13 +969,6 @@ cmdReport(const Options &o)
     obs::prof::Profiler &prof = obs::prof::Profiler::instance();
     const bool profiling = prof.start(o.hz);
 
-    // Same discipline for the host counters: best-effort session
-    // around the same run; the #pmu section renders the snapshot's
-    // reason when the host has none.
-    obs::pmu::PmuSession &pmuSession =
-        obs::pmu::PmuSession::instance();
-    const bool counting = pmuSession.start();
-
     obs::Registry reg;
     CompileResult cr;
     TraceCacheStats tc;
@@ -1104,9 +987,6 @@ cmdReport(const Options &o)
         prof.stop();
         data.prof = profSnapshotJson(prof.snapshot());
     }
-    if (counting)
-        pmuSession.stop();
-    data.pmu = obs::pmu::snapshotJson(pmuSession.snapshot());
 
     std::string error;
     data.history = obs::loadHistory(o.historyPath, error);
@@ -1256,71 +1136,6 @@ cmdProf(const Options &o)
     return 0;
 }
 
-/**
- * Run the workload under a host PMU session and print per-region
- * hardware counters: IPC, branch-miss rate, cache MPKI for compile /
- * decode / dispatch / replay, attributed through the profiler's
- * existing region markers. The workload repeats (--reps, default 3)
- * so short workloads still accumulate counter deltas across every
- * region. Exit 0 in every environment: a host without usable
- * counters (container, restrictive perf_event_paranoid, no
- * perf_event_open) prints the reason and publishes pmu.available=0 — graceful
- * unavailability is the contract, not an error.
- */
-int
-cmdPmu(const Options &o)
-{
-    if (o.positional.size() != 1)
-        return usage();
-    const std::string &name = o.positional[0];
-
-    obs::pmu::PmuSession &session =
-        obs::pmu::PmuSession::instance();
-    std::string why;
-    const bool counting = session.start(&why);
-    if (!counting)
-        std::cout << "host pmu unavailable: " << why
-                  << " (running anyway; publishing "
-                     "pmu.available=0)\n";
-
-    const int reps = o.reps > 0 ? o.reps : 3;
-    std::unique_ptr<obs::Registry> reg;
-    {
-        // The harness marker keeps inter-region tool time (workload
-        // construction, registry churn) attributed to "bench"
-        // rather than untracked, the same discipline the bench
-        // drivers use — this is what holds attribution >= 95%.
-        obs::prof::ScopedRegion harness(obs::prof::Region::Bench);
-        for (int i = 0; i < reps; ++i) {
-            reg = std::make_unique<obs::Registry>();
-            CompileResult cr;
-            runWorkload(o, name, *reg, nullptr, cr);
-        }
-    }
-    if (counting)
-        session.stop();
-    const obs::pmu::Snapshot snap = session.snapshot();
-
-    std::cout << "workload:     " << name << "\n"
-              << "repetitions:  " << reps << "\n\n";
-    obs::pmu::printSnapshotTable(std::cout, snap);
-
-    // The dump is the last repetition's full registry plus the
-    // pmu.* keys, so one artifact carries simulated and host
-    // counters side by side (`lbp_stats diff` and the history gate
-    // treat pmu.* as PerPoint).
-    obs::publishPmu(*reg, snap);
-    if (!o.jsonPath.empty()) {
-        if (!writeFile(o.jsonPath, [&](std::ostream &os) {
-                reg->toJson().write(os);
-                os << "\n";
-            }))
-            return 1;
-        std::cout << "\nregistry dump: " << o.jsonPath << "\n";
-    }
-    return 0;
-}
-
 } // namespace
 
 int
@@ -1332,6 +1147,17 @@ main(int argc, char **argv)
     if (o.command == "--version") {
         std::cout << obs::versionString() << "\n";
         return 0;
+    }
+    // A bad workload name is a usage error, like a bad --level:
+    // reject it before anything runs.
+    const bool takesWorkload =
+        o.command == "run" || o.command == "trace" ||
+        o.command == "loops" || o.command == "report" ||
+        o.command == "prof";
+    if (takesWorkload && o.positional.size() == 1 &&
+        !workloads::isWorkload(o.positional[0])) {
+        std::cerr << "unknown workload '" << o.positional[0] << "'\n";
+        return usage();
     }
     if (o.command == "run")
         return cmdRun(o);
@@ -1349,8 +1175,6 @@ main(int argc, char **argv)
         return cmdReport(o);
     if (o.command == "prof")
         return cmdProf(o);
-    if (o.command == "pmu")
-        return cmdPmu(o);
     if (o.command == "list")
         return cmdList();
     return usage();
