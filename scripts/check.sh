@@ -1,5 +1,7 @@
 #!/usr/bin/env bash
-# Full local check: configure Release (-O2), build, run the tier-1
+# Full local check: configure Release (-O2), build from clean, check
+# the build guards (no compiler warning, one ALU dispatch in the
+# decoded executors: scripts/build_guards.sh), run the tier-1
 # test suite (perf-labeled smoke excluded for speed), then the engine
 # differential and the fast-path bench smoke (which re-verifies
 # decoded-vs-reference equivalence on every sweep point it times).
@@ -37,7 +39,12 @@ TSAN_BUILD="$BUILD-tsan"
 cmake -B "$BUILD" -S . \
     -DCMAKE_BUILD_TYPE=Release \
     -DCMAKE_CXX_FLAGS_RELEASE="-O2 -DNDEBUG"
-cmake --build "$BUILD" -j "$(nproc)"
+# Clean first so the log holds every object's compile: the build
+# guards fail on any compiler warning in it, and on any out-of-line
+# evalBinaryAlu in the decoded executors (one ALU dispatch).
+cmake --build "$BUILD" -j "$(nproc)" --clean-first 2>&1 \
+    | tee "$BUILD/build.log"
+scripts/build_guards.sh "$BUILD" "$BUILD/build.log"
 
 # Tier-1: everything except the perf-labeled bench smoke.
 ctest --test-dir "$BUILD" --output-on-failure -LE perf

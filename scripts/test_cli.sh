@@ -45,6 +45,12 @@
 #                 report, prof) rejects an unknown workload name with
 #                 exit 2, naming it and listing the valid names,
 #                 before anything runs.
+#   misplaced_flags
+#                 a flag the command does not read (run --out,
+#                 trace --engine, history list --keep, ...) exits 2
+#                 naming the flag and the command, prints usage and
+#                 writes nothing; the same flags where they apply
+#                 still run.
 #   prof_smoke    `prof` samples a repeated workload run, prints the
 #                 region table with an attribution line, and exports
 #                 non-empty collapsed stacks; on a kernel without
@@ -313,6 +319,37 @@ case "$CASE" in
             || fail "$cmd: error should list the valid workloads"
         [ -e "$TMP/out" ] && fail "$cmd wrote output for a bad name"
     done
+    ;;
+
+  misplaced_flags)
+    stray() {  # stray <flag> <command...>
+        local flag=$1
+        shift
+        "$LBP_STATS" "$@" > /dev/null 2> "$TMP/err.txt"
+        local rc=$?
+        [ $rc -eq 2 ] || fail "$* exited $rc, want 2"
+        grep -qF -- "option '$flag' does not apply to" "$TMP/err.txt" \
+            || fail "$*: error should name the flag $flag"
+        grep -q '^usage: lbp_stats' "$TMP/err.txt" \
+            || fail "$*: should print usage"
+    }
+    stray --out run adpcm_dec --out="$TMP/x.html" --sort=gain --hz=5
+    grep -qF "does not apply to 'run'" "$TMP/err.txt" \
+        || fail "error should name the command"
+    [ -e "$TMP/x.html" ] && fail "run wrote --out output"
+    stray --engine trace adpcm_dec --engine=reference --out="$TMP/t.json"
+    [ -e "$TMP/t.json" ] && fail "trace ran despite a stray flag"
+    stray --json diff a.json b.json --json="$TMP/d.json"
+    stray --keep history list --keep=3 --history="$TMP/h.jsonl"
+    grep -qF "does not apply to 'history list'" "$TMP/err.txt" \
+        || fail "error should name the history action"
+    stray --source history check doc.json --source=x
+    stray --cycles prof adpcm_dec --cycles
+    # The same flags where they apply still run.
+    "$LBP_STATS" trace adpcm_dec --out="$TMP/t.json" --buffer=64 \
+        > /dev/null || fail "trace --out should be accepted"
+    "$LBP_STATS" history list --history="$TMP/h.jsonl" > /dev/null \
+        || fail "history list --history should be accepted"
     ;;
 
   prof_smoke)

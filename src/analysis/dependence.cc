@@ -1,8 +1,6 @@
 #include "analysis/dependence.hh"
 
 #include <algorithm>
-#include <map>
-#include <set>
 
 #include "analysis/liveness.hh"
 #include "support/logging.hh"
@@ -42,50 +40,58 @@ DepGraph::DepGraph(const BasicBlock &bb, bool loopCarried)
         int lastWriter = -1;
         std::vector<int> readersSince;
         std::vector<int> upwardReaders; // readers before any write
-        int firstWriter = -1;
-        int lastWriterFinal = -1;
     };
-    std::map<std::int64_t, Accesses> regs;   // key: reg id
-    std::map<std::int64_t, Accesses> preds;  // key: pred id
+    // Access records of the ids the block touches, indexed through
+    // an id-indexed slot table; ids() lists them in ascending order.
+    struct Table
+    {
+        std::vector<int> slotOf; // id -> index into recs, -1 = none
+        std::vector<Accesses> recs;
+        std::vector<std::uint32_t> touched;
 
-    auto touchRead = [&](std::map<std::int64_t, Accesses> &table,
-                         std::int64_t key, int i, int /*lat*/) {
-        Accesses &a = table[key];
-        if (a.lastWriter >= 0) {
-            // TRUE dep from the in-block writer.
-            // Latency added by caller via writer's opcode below.
-        } else {
-            a.upwardReaders.push_back(i);
+        Accesses &operator[](std::uint32_t id)
+        {
+            if (id >= slotOf.size())
+                slotOf.resize(id + 1, -1);
+            if (slotOf[id] < 0) {
+                slotOf[id] = static_cast<int>(recs.size());
+                recs.emplace_back();
+                touched.push_back(id);
+            }
+            return recs[slotOf[id]];
         }
-        a.readersSince.push_back(i);
+
+        const std::vector<std::uint32_t> &ids()
+        {
+            std::sort(touched.begin(), touched.end());
+            return touched;
+        }
     };
+    Table regs, preds;
 
     for (int i = 0; i < numOps_; ++i) {
         const Operation &op = bb.ops[i];
 
         // Reads.
-        for (RegId r : Liveness::uses(op)) {
+        auto doRead = [&](Accesses &a, int latency) {
+            if (a.lastWriter >= 0)
+                addEdge(a.lastWriter, i, DepKind::TRUE_, latency, 0);
+            else
+                a.upwardReaders.push_back(i);
+            a.readersSince.push_back(i);
+        };
+        Liveness::forEachUse(op, [&](RegId r) {
             Accesses &a = regs[r];
-            if (a.lastWriter >= 0) {
-                addEdge(a.lastWriter, i, DepKind::TRUE_,
-                        latencyOf(bb.ops[a.lastWriter].op), 0);
-            }
-            touchRead(regs, r, i, 0);
-        }
-        for (PredId p : Liveness::predUses(op)) {
-            Accesses &a = preds[p];
-            if (a.lastWriter >= 0) {
-                // Predicate generation has a 1-cycle path to the
-                // consumer's squash input (paper §7.3).
-                addEdge(a.lastWriter, i, DepKind::TRUE_, 1, 0);
-            }
-            touchRead(preds, p, i, 0);
-        }
+            doRead(a, a.lastWriter >= 0 ? latencyOf(bb.ops[a.lastWriter].op)
+                                        : 0);
+        });
+        // Predicate generation has a 1-cycle path to the consumer's
+        // squash input (paper §7.3).
+        Liveness::forEachPredUse(op,
+                                 [&](PredId p) { doRead(preds[p], 1); });
 
         // Writes.
-        auto doWrite = [&](std::map<std::int64_t, Accesses> &table,
-                           std::int64_t key) {
-            Accesses &a = table[key];
+        auto doWrite = [&](Accesses &a) {
             for (int rd : a.readersSince) {
                 if (rd != i)
                     addEdge(rd, i, DepKind::ANTI, 0, 0);
@@ -93,15 +99,10 @@ DepGraph::DepGraph(const BasicBlock &bb, bool loopCarried)
             if (a.lastWriter >= 0 && a.lastWriter != i)
                 addEdge(a.lastWriter, i, DepKind::OUTPUT, 1, 0);
             a.readersSince.clear();
-            if (a.firstWriter < 0)
-                a.firstWriter = i;
             a.lastWriter = i;
-            a.lastWriterFinal = i;
         };
-        for (RegId r : Liveness::defs(op))
-            doWrite(regs, r);
-        for (PredId p : Liveness::predDefs(op))
-            doWrite(preds, p);
+        Liveness::forEachDef(op, [&](RegId r) { doWrite(regs[r]); });
+        Liveness::forEachPredDef(op, [&](PredId p) { doWrite(preds[p]); });
     }
 
     // --- Memory ordering with base+offset disambiguation ---
@@ -121,12 +122,9 @@ DepGraph::DepGraph(const BasicBlock &bb, bool loopCarried)
         int size = 0;
     };
     std::vector<MemAccess> accesses;
-    std::map<RegId, int> regVersion;
-    std::set<RegId> writtenInBlock;
-    for (int i = 0; i < numOps_; ++i) {
-        for (RegId r : Liveness::defs(bb.ops[i]))
-            writtenInBlock.insert(r);
-    }
+    // Every register write advances its version; a register with a
+    // nonzero final version is written in the block.
+    std::vector<int> regVersion(regs.slotOf.size(), 0);
 
     auto accessSize = [](Opcode oc) {
         switch (oc) {
@@ -143,12 +141,12 @@ DepGraph::DepGraph(const BasicBlock &bb, bool loopCarried)
             return true;
         // Cross-iteration comparisons additionally require the base
         // to be loop-invariant over the whole body.
-        if (crossIteration && writtenInBlock.count(a.base))
+        if (crossIteration && regVersion[a.base] != 0)
             return true;
         return a.off < b.off + b.size && b.off < a.off + a.size;
     };
 
-    std::vector<int> stores_all, loads_all;
+    std::vector<int> stores_all;
     for (int i = 0; i < numOps_; ++i) {
         const Operation &op = bb.ops[i];
         const Opcode oc = op.op;
@@ -177,16 +175,11 @@ DepGraph::DepGraph(const BasicBlock &bb, bool loopCarried)
             accesses.push_back(ma);
             if (ma.isSt)
                 stores_all.push_back(i);
-            else
-                loads_all.push_back(i);
         }
         // Every register write (memory op or not) advances base
         // versions, invalidating offset comparisons across it.
-        for (RegId r : Liveness::defs(op))
-            ++regVersion[r];
+        Liveness::forEachDef(op, [&](RegId r) { ++regVersion[r]; });
     }
-    (void)stores_all;
-    (void)loads_all;
 
     // --- Control: branches are position barriers ---
     for (int i = 0; i < numOps_; ++i) {
@@ -203,20 +196,23 @@ DepGraph::DepGraph(const BasicBlock &bb, bool loopCarried)
     if (!loopCarried)
         return;
 
-    // --- Loop-carried register dependences (distance 1) ---
-    for (const auto &[r, a] : regs) {
-        if (a.lastWriterFinal < 0)
+    // --- Loop-carried register dependences (distance 1), in
+    //     ascending id order ---
+    for (std::uint32_t r : regs.ids()) {
+        const Accesses &a = regs[r];
+        if (a.lastWriter < 0)
             continue;
         for (int rd : a.upwardReaders) {
-            addEdge(a.lastWriterFinal, rd, DepKind::TRUE_,
-                    latencyOf(bb.ops[a.lastWriterFinal].op), 1);
+            addEdge(a.lastWriter, rd, DepKind::TRUE_,
+                    latencyOf(bb.ops[a.lastWriter].op), 1);
         }
     }
-    for (const auto &[p, a] : preds) {
-        if (a.lastWriterFinal < 0)
+    for (std::uint32_t p : preds.ids()) {
+        const Accesses &a = preds[p];
+        if (a.lastWriter < 0)
             continue;
         for (int rd : a.upwardReaders)
-            addEdge(a.lastWriterFinal, rd, DepKind::TRUE_, 1, 1);
+            addEdge(a.lastWriter, rd, DepKind::TRUE_, 1, 1);
     }
 
     // --- Loop-carried memory (distance 1), disambiguated ---
@@ -254,8 +250,6 @@ DepGraph::heights() const
     // Ops are in program order; distance-0 edges always go forward
     // (by construction), so a reverse sweep computes longest paths.
     for (int i = numOps_ - 1; i >= 0; --i) {
-        const Operation *op = nullptr;
-        (void)op;
         for (int e : succIdx_[i]) {
             const DepEdge &ed = edges_[e];
             if (ed.distance != 0)

@@ -3,122 +3,92 @@
 namespace lbp
 {
 
-std::vector<RegId>
-Liveness::uses(const Operation &op)
+namespace
 {
-    std::vector<RegId> u;
-    for (const auto &s : op.srcs)
-        if (s.isReg())
-            u.push_back(s.asReg());
-    return u;
+
+/** Is @p k an unconditional (u-type) predicate define kind? */
+bool
+alwaysWrites(PredDefKind k)
+{
+    return k == PredDefKind::UT || k == PredDefKind::UF;
 }
 
-std::vector<RegId>
-Liveness::defs(const Operation &op)
-{
-    std::vector<RegId> d;
-    for (const auto &s : op.dsts)
-        if (s.isReg())
-            d.push_back(s.asReg());
-    return d;
-}
-
-std::vector<PredId>
-Liveness::predUses(const Operation &op)
-{
-    std::vector<PredId> u;
-    if (op.guard != kNoPred)
-        u.push_back(op.guard);
-    for (const auto &s : op.srcs)
-        if (s.isPred())
-            u.push_back(s.asPred());
-    return u;
-}
-
-std::vector<PredId>
-Liveness::predDefs(const Operation &op)
-{
-    std::vector<PredId> d;
-    if (op.op != Opcode::PRED_DEF)
-        return d;
-    for (const auto &s : op.dsts)
-        if (s.isPred())
-            d.push_back(s.asPred());
-    return d;
-}
+} // namespace
 
 Liveness::Liveness(const Function &fn)
 {
     const size_t n = fn.blocks.size();
-    liveIn_.assign(n, {});
-    liveOut_.assign(n, {});
-    predLiveIn_.assign(n, {});
-    predLiveOut_.assign(n, {});
+    liveIn_.assign(n, RegSet(fn.nextReg));
+    liveOut_.assign(n, RegSet(fn.nextReg));
+    predLiveIn_.assign(n, PredSet(fn.nextPred));
+    predLiveOut_.assign(n, PredSet(fn.nextPred));
 
     // Per-block gen (upward-exposed uses) and kill (unconditional
     // defs). Guarded definitions are conservative: they do not kill.
-    std::vector<std::set<RegId>> gen(n), kill(n);
-    std::vector<std::set<PredId>> pgen(n), pkill(n);
+    std::vector<RegSet> gen(n, RegSet(fn.nextReg)),
+        kill(n, RegSet(fn.nextReg));
+    std::vector<PredSet> pgen(n, PredSet(fn.nextPred)),
+        pkill(n, PredSet(fn.nextPred));
     for (const auto &bb : fn.blocks) {
         if (bb.dead)
             continue;
+        RegSet &g = gen[bb.id], &k = kill[bb.id];
+        PredSet &pg = pgen[bb.id], &pk = pkill[bb.id];
         for (const auto &op : bb.ops) {
-            for (RegId r : uses(op)) {
-                if (!kill[bb.id].count(r))
-                    gen[bb.id].insert(r);
-            }
-            for (PredId p : predUses(op)) {
-                if (!pkill[bb.id].count(p))
-                    pgen[bb.id].insert(p);
-            }
-            if (!op.hasGuard()) {
-                for (RegId r : defs(op))
-                    kill[bb.id].insert(r);
-            }
+            forEachUse(op, [&](RegId r) {
+                if (!k.count(r))
+                    g.insert(r);
+            });
+            forEachPredUse(op, [&](PredId p) {
+                if (!pk.count(p))
+                    pg.insert(p);
+            });
+            if (op.hasGuard())
+                continue;
+            forEachDef(op, [&](RegId r) { k.insert(r); });
             // Unconditional u-type predicate defines always write.
-            if (op.op == Opcode::PRED_DEF && !op.hasGuard()) {
-                if (op.defKind0 == PredDefKind::UT ||
-                    op.defKind0 == PredDefKind::UF) {
-                    if (op.dsts[0].isPred())
-                        pkill[bb.id].insert(op.dsts[0].asPred());
-                }
-                if (op.dsts.size() > 1 &&
-                    (op.defKind1 == PredDefKind::UT ||
-                     op.defKind1 == PredDefKind::UF)) {
-                    if (op.dsts[1].isPred())
-                        pkill[bb.id].insert(op.dsts[1].asPred());
-                }
+            if (op.op == Opcode::PRED_DEF) {
+                if (alwaysWrites(op.defKind0) && op.dsts[0].isPred())
+                    pk.insert(op.dsts[0].asPred());
+                if (op.dsts.size() > 1 && alwaysWrites(op.defKind1) &&
+                    op.dsts[1].isPred())
+                    pk.insert(op.dsts[1].asPred());
             }
         }
     }
 
+    // in = gen | (out - kill), out = union of the successors' ins,
+    // iterated to the least fixpoint.
     bool changed = true;
-    auto rpo = fn.reversePostorder();
+    const auto rpo = fn.reversePostorder();
+    std::vector<std::vector<BlockId>> succs(n);
+    for (BlockId b : rpo)
+        succs[b] = fn.blocks[b].successors();
+    RegSet out, in;
+    PredSet pout, pin;
     while (changed) {
         changed = false;
         for (auto it = rpo.rbegin(); it != rpo.rend(); ++it) {
             const BlockId b = *it;
-            std::set<RegId> out;
-            std::set<PredId> pout;
-            for (BlockId s : fn.blocks[b].successors()) {
-                out.insert(liveIn_[s].begin(), liveIn_[s].end());
-                pout.insert(predLiveIn_[s].begin(), predLiveIn_[s].end());
+            out.clear();
+            pout.clear();
+            for (BlockId s : succs[b]) {
+                out.insertAll(liveIn_[s]);
+                pout.insertAll(predLiveIn_[s]);
             }
-            std::set<RegId> in = gen[b];
-            for (RegId r : out)
-                if (!kill[b].count(r))
-                    in.insert(r);
-            std::set<PredId> pin = pgen[b];
-            for (PredId p : pout)
-                if (!pkill[b].count(p))
-                    pin.insert(p);
+            in = out;
+            in.eraseAll(kill[b]);
+            in.insertAll(gen[b]);
+            pin = pout;
+            pin.eraseAll(pkill[b]);
+            pin.insertAll(pgen[b]);
             if (out != liveOut_[b] || in != liveIn_[b] ||
                 pout != predLiveOut_[b] || pin != predLiveIn_[b]) {
                 changed = true;
-                liveOut_[b] = std::move(out);
-                liveIn_[b] = std::move(in);
-                predLiveOut_[b] = std::move(pout);
-                predLiveIn_[b] = std::move(pin);
+                liveOut_[b] = out;
+                liveIn_[b] = in;
+                predLiveOut_[b] = pout;
+                predLiveIn_[b] = pin;
             }
         }
     }

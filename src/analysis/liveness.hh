@@ -3,18 +3,25 @@
  * Backward live-variable analysis over general and predicate
  * registers, used by dead-code elimination and by the slot-predication
  * lowering (predicate live ranges).
+ *
+ * Register and predicate ids are dense per function, so the live sets
+ * are bitsets (support/dense_set.hh) and the per-op visitors below
+ * walk an operation's operands in place.
  */
 
 #ifndef LBP_ANALYSIS_LIVENESS_HH
 #define LBP_ANALYSIS_LIVENESS_HH
 
-#include <set>
 #include <vector>
 
 #include "ir/function.hh"
+#include "support/dense_set.hh"
 
 namespace lbp
 {
+
+using RegSet = DenseIdSet<RegId>;
+using PredSet = DenseIdSet<PredId>;
 
 /** Per-block live-in/live-out register sets. */
 class Liveness
@@ -22,31 +29,56 @@ class Liveness
   public:
     explicit Liveness(const Function &fn);
 
-    const std::set<RegId> &liveIn(BlockId b) const { return liveIn_[b]; }
-    const std::set<RegId> &liveOut(BlockId b) const { return liveOut_[b]; }
+    const RegSet &liveIn(BlockId b) const { return liveIn_[b]; }
+    const RegSet &liveOut(BlockId b) const { return liveOut_[b]; }
 
-    const std::set<PredId> &predLiveIn(BlockId b) const
-    { return predLiveIn_[b]; }
-    const std::set<PredId> &predLiveOut(BlockId b) const
+    const PredSet &predLiveIn(BlockId b) const { return predLiveIn_[b]; }
+    const PredSet &predLiveOut(BlockId b) const
     { return predLiveOut_[b]; }
 
-    /**
-     * Registers read by @p op (general registers only).
-     */
-    static std::vector<RegId> uses(const Operation &op);
+    /** Call @p f with each general register @p op reads. */
+    template <typename F>
+    static void forEachUse(const Operation &op, F &&f)
+    {
+        for (const auto &s : op.srcs)
+            if (s.isReg())
+                f(s.asReg());
+    }
 
-    /** Registers written by @p op. */
-    static std::vector<RegId> defs(const Operation &op);
+    /** Call @p f with each register @p op writes. */
+    template <typename F>
+    static void forEachDef(const Operation &op, F &&f)
+    {
+        for (const auto &d : op.dsts)
+            if (d.isReg())
+                f(d.asReg());
+    }
 
-    /** Predicates read (guard) by @p op. */
-    static std::vector<PredId> predUses(const Operation &op);
+    /** Call @p f with each predicate @p op reads (guard first). */
+    template <typename F>
+    static void forEachPredUse(const Operation &op, F &&f)
+    {
+        if (op.guard != kNoPred)
+            f(op.guard);
+        for (const auto &s : op.srcs)
+            if (s.isPred())
+                f(s.asPred());
+    }
 
-    /** Predicates written by @p op. */
-    static std::vector<PredId> predDefs(const Operation &op);
+    /** Call @p f with each predicate @p op writes. */
+    template <typename F>
+    static void forEachPredDef(const Operation &op, F &&f)
+    {
+        if (op.op != Opcode::PRED_DEF)
+            return;
+        for (const auto &d : op.dsts)
+            if (d.isPred())
+                f(d.asPred());
+    }
 
   private:
-    std::vector<std::set<RegId>> liveIn_, liveOut_;
-    std::vector<std::set<PredId>> predLiveIn_, predLiveOut_;
+    std::vector<RegSet> liveIn_, liveOut_;
+    std::vector<PredSet> predLiveIn_, predLiveOut_;
 };
 
 } // namespace lbp

@@ -1,7 +1,6 @@
 #include "core/metrics.hh"
 
 #include <map>
-#include <set>
 
 #include "analysis/liveness.hh"
 
@@ -152,16 +151,16 @@ collectRegisterPressure(const CompileResult &cr)
             // Sweep the block backwards maintaining the live set,
             // seeded with live-out (which, for a loop body, includes
             // the next iteration's needs via the backedge).
-            std::set<RegId> liveNow = live.liveOut(bb.id);
+            RegSet liveNow = live.liveOut(bb.id);
             int maxLive = static_cast<int>(liveNow.size());
             for (auto it = bb.ops.rbegin(); it != bb.ops.rend();
                  ++it) {
                 if (!it->hasGuard()) {
-                    for (RegId d : Liveness::defs(*it))
-                        liveNow.erase(d);
+                    Liveness::forEachDef(
+                        *it, [&](RegId d) { liveNow.erase(d); });
                 }
-                for (RegId u : Liveness::uses(*it))
-                    liveNow.insert(u);
+                Liveness::forEachUse(
+                    *it, [&](RegId u) { liveNow.insert(u); });
                 maxLive = std::max(
                     maxLive, static_cast<int>(liveNow.size()));
             }
@@ -170,10 +169,10 @@ collectRegisterPressure(const CompileResult &cr)
             // iteration are not expanded.
             int carried = 0;
             if (sb.pipelined && sb.mveFactor > 1) {
-                std::set<RegId> defined;
+                RegSet defined;
                 for (const auto &op : bb.ops)
-                    for (RegId d : Liveness::defs(op))
-                        defined.insert(d);
+                    Liveness::forEachDef(
+                        op, [&](RegId d) { defined.insert(d); });
                 for (RegId r : live.liveIn(bb.id))
                     carried += defined.count(r) != 0;
             }

@@ -296,8 +296,9 @@ lowerProgramToSlots(const Program &prog, SchedProgram &code,
             for (const auto &op : bb.ops) {
                 if (op.guard != kNoPred)
                     usedIn[bb.id].insert(op.guard);
-                for (PredId p : Liveness::predDefs(op))
+                Liveness::forEachPredDef(op, [&](PredId p) {
                     definedIn[bb.id].insert(p);
+                });
             }
         }
         for (auto &bb : fn.blocks) {

@@ -92,8 +92,13 @@ ftoi(double d)
                : std::numeric_limits<std::int64_t>::min();
 }
 
-/** Result of the two-source ALU op @p op; CMP compares by @p cond. */
-inline std::int64_t
+/**
+ * Result of the two-source ALU op @p op; CMP compares by @p cond.
+ * Always inlined: the executors call it with a constant opcode from a
+ * per-opcode handler, so each call folds to that opcode's body and
+ * an ALU op is dispatched once, not once per handler and again here.
+ */
+[[gnu::always_inline]] inline std::int64_t
 evalBinaryAlu(Opcode op, CmpCond cond, std::int64_t a, std::int64_t b)
 {
     switch (op) {

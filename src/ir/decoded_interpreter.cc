@@ -742,13 +742,7 @@ DecodedInterpreter::call(std::uint32_t f, std::size_t base)
             fr[o.dst] = evalBinaryAlu(Opcode::OP, o.cond, a, b);         \
             ++pc;                                                        \
             break;
-          LBP_ALU_CASE(ADD) LBP_ALU_CASE(SUB) LBP_ALU_CASE(MUL)
-          LBP_ALU_CASE(DIV) LBP_ALU_CASE(REM) LBP_ALU_CASE(AND)
-          LBP_ALU_CASE(OR) LBP_ALU_CASE(XOR) LBP_ALU_CASE(SHL)
-          LBP_ALU_CASE(SHR) LBP_ALU_CASE(SHRA) LBP_ALU_CASE(MIN)
-          LBP_ALU_CASE(MAX) LBP_ALU_CASE(SATADD) LBP_ALU_CASE(SATSUB)
-          LBP_ALU_CASE(CMP) LBP_ALU_CASE(FADD) LBP_ALU_CASE(FSUB)
-          LBP_ALU_CASE(FMUL) LBP_ALU_CASE(FDIV)
+          LBP_BINARY_ALU_OPS(LBP_ALU_CASE)
 #undef LBP_ALU_CASE
 
           default:

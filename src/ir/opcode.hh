@@ -59,6 +59,16 @@ enum class Opcode : std::uint8_t
     NUM_OPCODES
 };
 
+/**
+ * The binary ALU family: X(OP) once per two-source ALU opcode
+ * (ir/alu_ops.hh evalBinaryAlu); the decoded executors stamp one
+ * handler per entry.
+ */
+#define LBP_BINARY_ALU_OPS(X)                                           \
+    X(ADD) X(SUB) X(MUL) X(DIV) X(REM) X(AND) X(OR) X(XOR) X(SHL)       \
+    X(SHR) X(SHRA) X(MIN) X(MAX) X(SATADD) X(SATSUB) X(CMP) X(FADD)     \
+    X(FSUB) X(FMUL) X(FDIV)
+
 /** Comparison conditions for CMP / BR / PRED_DEF. */
 enum class CmpCond : std::uint8_t
 {

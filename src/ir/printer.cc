@@ -9,15 +9,25 @@ namespace lbp
 namespace
 {
 
+/** @p prefix then the decimal @p v, appended in place. */
+template <typename T>
+std::string
+prefixed(char prefix, T v)
+{
+    std::string s(1, prefix);
+    s += std::to_string(v);
+    return s;
+}
+
 std::string
 operandStr(const Operand &o)
 {
     switch (o.kind) {
       case OperandKind::NONE: return "<none>";
-      case OperandKind::REG: return "r" + std::to_string(o.asReg());
+      case OperandKind::REG: return prefixed('r', o.asReg());
       case OperandKind::IMM: return std::to_string(o.value);
-      case OperandKind::PRED: return "p" + std::to_string(o.asPred());
-      case OperandKind::SLOT: return "s" + std::to_string(o.asSlot());
+      case OperandKind::PRED: return prefixed('p', o.asPred());
+      case OperandKind::SLOT: return prefixed('s', o.asSlot());
     }
     return "?";
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "analysis/dependence.hh"
+#include "support/dense_set.hh"
 #include "support/logging.hh"
 
 namespace lbp
@@ -60,47 +61,66 @@ struct ImsState
 };
 
 /**
+ * The fixed scheduling priority of a loop body's real (non-NOP) ops:
+ * height descending, then program order. Rank r is the r-th op in
+ * that order, so the highest-priority op of any set is the one with
+ * the lowest rank.
+ */
+struct Priority
+{
+    std::vector<int> heights; ///< per op (DepGraph::heights)
+    std::vector<int> opAt;    ///< rank -> op index
+    std::vector<int> rankOf;  ///< op index -> rank (-1 for NOPs)
+
+    Priority(const BasicBlock &bb, const DepGraph &dg)
+        : heights(dg.heights()), rankOf(dg.numOps(), -1)
+    {
+        for (int i = 0; i < dg.numOps(); ++i)
+            if (bb.ops[i].op != Opcode::NOP)
+                opAt.push_back(i);
+        std::sort(opAt.begin(), opAt.end(), [&](int a, int b) {
+            if (heights[a] != heights[b])
+                return heights[a] > heights[b];
+            return a < b;
+        });
+        for (size_t r = 0; r < opAt.size(); ++r)
+            rankOf[opAt[r]] = static_cast<int>(r);
+    }
+};
+
+/**
  * Attempt one II. Returns true and fills @p state on success.
  */
 bool
 tryScheduleII(const BasicBlock &bb, const DepGraph &dg,
-              const Machine &machine, int ii, int budget,
-              ImsState &state)
+              const Priority &prio, const Machine &machine, int ii,
+              int budget, ImsState &state)
 {
     const int n = dg.numOps();
     state.cycleOf.assign(n, -1);
     state.slotOf.assign(n, kNoSlot);
     MRT mrt(ii);
+    const std::vector<int> &heights = prio.heights;
 
-    const std::vector<int> heights = dg.heights();
-
-    // Worklist ordered by height (descending), then program order.
-    std::vector<int> order;
-    for (int i = 0; i < n; ++i)
-        if (bb.ops[i].op != Opcode::NOP)
-            order.push_back(i);
-    std::sort(order.begin(), order.end(), [&](int a, int b) {
-        if (heights[a] != heights[b])
-            return heights[a] > heights[b];
-        return a < b;
-    });
+    // The worklist is the set of unscheduled ops, held by rank.
+    DenseIdSet<unsigned> work(prio.opAt.size());
+    for (size_t r = 0; r < prio.opAt.size(); ++r)
+        work.insert(static_cast<unsigned>(r));
+    auto enqueue = [&](int q) {
+        work.insert(static_cast<unsigned>(prio.rankOf[q]));
+    };
 
     std::vector<int> lastTried(n, -1);
-    std::vector<int> work = order;
     std::array<PredId, Machine::width> slotOwner{};
     slotOwner.fill(kNoPred);
 
-    while (!work.empty()) {
+    for (auto top = work.begin(); top != work.end(); top = work.begin()) {
         if (budget-- <= 0)
             return false;
         // Highest-priority unscheduled op.
-        std::sort(work.begin(), work.end(), [&](int a, int b) {
-            if (heights[a] != heights[b])
-                return heights[a] > heights[b];
-            return a < b;
-        });
-        const int op = work.front();
-        work.erase(work.begin());
+        const unsigned rank = *top;
+        work.erase(rank);
+        const int op = prio.opAt[rank];
 
         // Earliest start from scheduled predecessors.
         int estart = 0;
@@ -171,7 +191,7 @@ tryScheduleII(const BasicBlock &bb, const DepGraph &dg,
             mrt.at(chosenT, chosenSlot) = -1;
             state.cycleOf[victim] = -1;
             state.slotOf[victim] = kNoSlot;
-            work.push_back(victim);
+            enqueue(victim);
         }
 
         mrt.at(chosenT, chosenSlot) = op;
@@ -196,7 +216,7 @@ tryScheduleII(const BasicBlock &bb, const DepGraph &dg,
                 mrt.at(state.cycleOf[q], state.slotOf[q]) = -1;
                 state.cycleOf[q] = -1;
                 state.slotOf[q] = kNoSlot;
-                work.push_back(q);
+                enqueue(q);
             }
         }
         for (int eidx : dg.preds(op)) {
@@ -206,22 +226,17 @@ tryScheduleII(const BasicBlock &bb, const DepGraph &dg,
                 mrt.at(state.cycleOf[q], state.slotOf[q]) = -1;
                 state.cycleOf[q] = -1;
                 state.slotOf[q] = kNoSlot;
-                work.push_back(q);
+                enqueue(q);
             }
         }
-        // Deduplicate the worklist.
-        std::sort(work.begin(), work.end());
-        work.erase(std::unique(work.begin(), work.end()), work.end());
     }
     return true;
 }
 
 /** Modulo-variable-expansion factor from value lifetimes. */
 int
-computeMve(const BasicBlock &bb, const DepGraph &dg,
-           const ImsState &state, int ii)
+computeMve(const DepGraph &dg, const ImsState &state, int ii)
 {
-    (void)bb;
     int mve = 1;
     for (const auto &e : dg.edges()) {
         if (e.kind != DepKind::TRUE_)
@@ -267,8 +282,9 @@ moduloScheduleLoop(const BasicBlock &bb, const Machine &machine,
     if (realOps == 0)
         return sb;
 
+    const Priority prio(bb, dg);
     for (; ii <= opts.maxII; ++ii) {
-        if (tryScheduleII(bb, dg, machine, ii,
+        if (tryScheduleII(bb, dg, prio, machine, ii,
                           opts.budgetRatio * realOps, state)) {
             ok = true;
             break;
@@ -312,7 +328,7 @@ moduloScheduleLoop(const BasicBlock &bb, const Machine &machine,
     // image growth) unnecessary.
     sb.mveFactor = opts.rotatingRegisters
                        ? 1
-                       : computeMve(bb, dg, state, ii);
+                       : computeMve(dg, state, ii);
     if (outInfo)
         outInfo->success = true;
     return sb;

@@ -162,9 +162,11 @@ class BundleExec
                  read(m.src[0]) ? read(m.src[1]) : read(m.src[2]));
     }
 
+    /** The binary ALU op @p OP (the handler's own opcode). */
+    template <Opcode OP>
     void alu(const MicroOp &m)
     {
-        writeReg(m.dstReg, evalBinaryAlu(m.op, m.cond, read(m.src[0]),
+        writeReg(m.dstReg, evalBinaryAlu(OP, m.cond, read(m.src[0]),
                                          read(m.src[1])));
     }
 

@@ -103,9 +103,12 @@ classifyHandler(Opcode op)
       case Opcode::EXEC_WLOOP: return ExecHandler::LOOP;
       case Opcode::CALL: return ExecHandler::CALL;
       case Opcode::RET: return ExecHandler::RET;
-      case Opcode::NOP:
-        LBP_PANIC("NOP has no executor handler");
-      default: return ExecHandler::ALU;
+#define LBP_ALU_HANDLER_CASE(OP)                                        \
+      case Opcode::OP: return ExecHandler::ALU_##OP;
+      LBP_BINARY_ALU_OPS(LBP_ALU_HANDLER_CASE)
+#undef LBP_ALU_HANDLER_CASE
+      default:
+        LBP_PANIC("no executor handler for ", opcodeName(op));
     }
 }
 

@@ -69,7 +69,8 @@ struct XSrc
  * executor dispatches on this byte through a computed-goto label
  * table (sim/dispatch.hh) instead of re-classifying the full Opcode
  * per execution. Opcodes that share a handler share a value (all
- * loads, all stores, the binary ALU family, REC/EXEC, BR/BR_WLOOP).
+ * loads, all stores, REC/EXEC, BR/BR_WLOOP); each binary ALU opcode
+ * has its own (ALU_<OP>), so its handler runs that one op body.
  */
 enum class ExecHandler : std::uint8_t
 {
@@ -87,7 +88,9 @@ enum class ExecHandler : std::uint8_t
     LOOP,      ///< REC_CLOOP/REC_WLOOP/EXEC_CLOOP/EXEC_WLOOP
     CALL,
     RET,
-    ALU,       ///< two-source arithmetic/logic/compare family
+#define LBP_ALU_HANDLER_ENUM(OP) ALU_##OP,
+    LBP_BINARY_ALU_OPS(LBP_ALU_HANDLER_ENUM)
+#undef LBP_ALU_HANDLER_ENUM
     COUNT,
 };
 
@@ -102,7 +105,7 @@ struct MicroOp
     PredDefKind k0 = PredDefKind::NONE;
     PredDefKind k1 = PredDefKind::NONE;
 
-    ExecHandler handler = ExecHandler::ALU;
+    ExecHandler handler{}; ///< classifyHandler(op), set at predecode
     /**
      * The op can never be nullified: no guard and not sensitive, so
      * it executes in either PredMode. Lets the datapath's guard check

@@ -117,7 +117,9 @@ classifyTraceBody(const LoopCtx &ctx, const DecodedFunction &df)
               case ExecHandler::ITOF:
               case ExecHandler::FTOI:
               case ExecHandler::SELECT:
-              case ExecHandler::ALU:
+#define LBP_ALU_HANDLER_CASE(OP) case ExecHandler::ALU_##OP:
+              LBP_BINARY_ALU_OPS(LBP_ALU_HANDLER_CASE)
+#undef LBP_ALU_HANDLER_CASE
               case ExecHandler::JUMP:
                 break;
               case ExecHandler::CALL:
@@ -349,7 +351,7 @@ VliwSim::replayResident(LoopCtx &ctx, const DecodedFunction &df,
                   LBP_HANDLER(ITOF) { bx.itof(*m); LBP_NEXT_OP; }
                   LBP_HANDLER(FTOI) { bx.ftoi(*m); LBP_NEXT_OP; }
                   LBP_HANDLER(SELECT) { bx.select(*m); LBP_NEXT_OP; }
-                  LBP_HANDLER(ALU) { bx.alu(*m); LBP_NEXT_OP; }
+                  LBP_ALU_HANDLERS
 
                   // Control ops: the activation's own backedge (at
                   // beOp) plus side exits. Each mirrors the general

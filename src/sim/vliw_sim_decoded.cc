@@ -295,7 +295,7 @@ VliwSim::callFunctionDecoded(FuncId f,
               LBP_HANDLER(ITOF) { bx.itof(*m); LBP_NEXT_OP; }
               LBP_HANDLER(FTOI) { bx.ftoi(*m); LBP_NEXT_OP; }
               LBP_HANDLER(SELECT) { bx.select(*m); LBP_NEXT_OP; }
-              LBP_HANDLER(ALU) { bx.alu(*m); LBP_NEXT_OP; }
+              LBP_ALU_HANDLERS
 
               LBP_HANDLER(BR) {
                 ++stats_.branches;

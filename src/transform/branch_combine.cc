@@ -57,7 +57,7 @@ combineInBlock(Function &fn, BlockId blkId,
     // registers live-in at the exit target, (c) no redefinition of the
     // exit predicate. We take the maximal eligible suffix of exits.
     auto eligibleFrom = [&](const Exit &e) {
-        const std::set<RegId> &tgt_live = live.liveIn(e.target);
+        const RegSet &tgt_live = live.liveIn(e.target);
         for (size_t j = e.idx + 1; j < bb.ops.size(); ++j) {
             const Operation &op = bb.ops[j];
             if (isStore(op.op) || op.op == Opcode::CALL)
@@ -68,14 +68,15 @@ combineInBlock(Function &fn, BlockId blkId,
                 !op.speculative) {
                 return false;
             }
-            for (RegId d : Liveness::defs(op)) {
-                if (tgt_live.count(d))
-                    return false;
-            }
-            for (PredId p : Liveness::predDefs(op)) {
-                if (p == e.guard)
-                    return false;
-            }
+            bool clobbers = false;
+            Liveness::forEachDef(op, [&](RegId d) {
+                clobbers |= tgt_live.count(d) != 0;
+            });
+            Liveness::forEachPredDef(op, [&](PredId p) {
+                clobbers |= p == e.guard;
+            });
+            if (clobbers)
+                return false;
         }
         return true;
     };

@@ -1,8 +1,6 @@
 #include "transform/classic_opts.hh"
 
 #include <algorithm>
-#include <map>
-#include <set>
 
 #include "analysis/liveness.hh"
 #include "ir/alu_ops.hh"
@@ -137,31 +135,44 @@ OptStats
 copyPropagate(Function &fn)
 {
     OptStats st;
+    // reg -> known copy source (imm or reg; NONE = unknown),
+    // invalidated on a write to either side. copiesOf[s] lists the
+    // regs whose fact was recorded as a copy of reg s (entries go
+    // stale when that fact is overwritten); facts lists the regs with a
+    // fact, so each block starts clean without a full sweep.
+    std::vector<Operand> known;
+    std::vector<std::vector<RegId>> copiesOf;
+    std::vector<RegId> facts;
+    auto grow = [&](RegId r) {
+        if (r >= known.size()) {
+            known.resize(r + 1);
+            copiesOf.resize(r + 1);
+        }
+    };
+    auto invalidateUsesOf = [&](RegId r) {
+        grow(r);
+        known[r] = {};
+        for (RegId d : copiesOf[r])
+            if (known[d].isReg() && known[d].asReg() == r)
+                known[d] = {};
+        copiesOf[r].clear();
+    };
     for (auto &bb : fn.blocks) {
         if (bb.dead)
             continue;
-        // reg -> known copy source (imm or reg), invalidated on write.
-        std::map<RegId, Operand> known;
-        auto invalidateUsesOf = [&](RegId r) {
-            for (auto it = known.begin(); it != known.end();) {
-                if (it->first == r ||
-                    (it->second.isReg() && it->second.asReg() == r)) {
-                    it = known.erase(it);
-                } else {
-                    ++it;
-                }
-            }
-        };
+        for (RegId r : facts) {
+            known[r] = {};
+            copiesOf[r].clear();
+        }
+        facts.clear();
         for (auto &op : bb.ops) {
             // Substitute sources. Skip branch targets etc. (non-reg).
             for (auto &s : op.srcs) {
-                if (!s.isReg())
+                if (!s.isReg() || s.asReg() >= known.size() ||
+                    known[s.asReg()].isNone())
                     continue;
-                auto it = known.find(s.asReg());
-                if (it != known.end()) {
-                    s = it->second;
-                    ++st.propagated;
-                }
+                s = known[s.asReg()];
+                ++st.propagated;
             }
             // Update facts.
             for (const auto &d : op.dsts) {
@@ -170,10 +181,16 @@ copyPropagate(Function &fn)
             }
             if (op.op == Opcode::MOV && !op.hasGuard() &&
                 op.dsts.size() == 1 && op.dsts[0].isReg()) {
+                const RegId dst = op.dsts[0].asReg();
                 const Operand &src = op.srcs[0];
-                if (src.isImm() ||
-                    (src.isReg() && src.asReg() != op.dsts[0].asReg())) {
-                    known[op.dsts[0].asReg()] = src;
+                if (src.isImm() || (src.isReg() && src.asReg() != dst)) {
+                    known[dst] = src;
+                    facts.push_back(dst);
+                    if (src.isReg()) {
+                        grow(src.asReg());
+                        copiesOf[src.asReg()].push_back(dst);
+                        facts.push_back(src.asReg());
+                    }
                 }
             }
         }
@@ -190,18 +207,18 @@ deadCodeElim(Function &fn)
         if (bb.dead)
             continue;
         // Backward scan with a running live set seeded by live-out.
-        std::set<RegId> liveNow = live.liveOut(bb.id);
-        std::set<PredId> predLiveNow = live.predLiveOut(bb.id);
+        RegSet liveNow = live.liveOut(bb.id);
+        PredSet predLiveNow = live.predLiveOut(bb.id);
         std::vector<char> keep(bb.ops.size(), 1);
         bool removed = false;
         for (int i = static_cast<int>(bb.ops.size()) - 1; i >= 0; --i) {
             Operation &op = bb.ops[i];
             bool needed = hasSideEffects(op);
             if (!needed) {
-                for (RegId d : Liveness::defs(op)) {
+                Liveness::forEachDef(op, [&](RegId d) {
                     if (liveNow.count(d))
                         needed = true;
-                }
+                });
             }
             // A pred_def is removable if all pred destinations are
             // dead (and none are slots).
@@ -218,26 +235,14 @@ deadCodeElim(Function &fn)
                 ++st.eliminated;
                 continue;
             }
-            // Update live sets.
-            if (!op.hasGuard()) {
-                for (RegId d : Liveness::defs(op))
-                    liveNow.erase(d);
-                if (op.op == Opcode::PRED_DEF) {
-                    for (const auto &d : op.dsts) {
-                        if (d.isPred() &&
-                            (op.defKind0 == PredDefKind::UT ||
-                             op.defKind0 == PredDefKind::UF)) {
-                            // Only kind0's unconditional write kills
-                            // reliably; be conservative and keep preds
-                            // live.
-                        }
-                    }
-                }
-            }
-            for (RegId u : Liveness::uses(op))
-                liveNow.insert(u);
-            for (PredId p : Liveness::predUses(op))
-                predLiveNow.insert(p);
+            // Update live sets. Predicate defines kill nothing: only
+            // kind0's unconditional write kills reliably, so preds
+            // stay live (conservative).
+            if (!op.hasGuard())
+                Liveness::forEachDef(op, [&](RegId d) { liveNow.erase(d); });
+            Liveness::forEachUse(op, [&](RegId u) { liveNow.insert(u); });
+            Liveness::forEachPredUse(op,
+                                     [&](PredId p) { predLiveNow.insert(p); });
         }
         if (removed) {
             std::vector<Operation> kept;

@@ -1,6 +1,5 @@
 #include "transform/promote.hh"
 
-#include <set>
 
 #include "analysis/liveness.hh"
 #include "support/logging.hh"
@@ -22,12 +21,11 @@ promoteOperations(Function &fn)
         // upward-exposed-read check below (a conservative liveOut
         // that includes the self-loop would veto every guarded loop
         // temporary).
-        std::set<RegId> exitLive;
+        RegSet exitLive;
         for (BlockId s : bb.successors()) {
             if (s == bb.id)
                 continue;
-            const auto &in = live.liveIn(s);
-            exitLive.insert(in.begin(), in.end());
+            exitLive.insertAll(live.liveIn(s));
         }
 
         for (size_t i = 0; i < bb.ops.size(); ++i) {

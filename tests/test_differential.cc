@@ -12,6 +12,11 @@
  * the generated input and on each compiled program's final IR. This
  * is the fuzzing backstop behind the hand-written per-pass tests.
  *
+ * The liveness differential (LivenessDifferential, LivenessWorkloads)
+ * checks the bitset live sets of analysis/liveness against a naive
+ * std::set reference on the generated programs and the workloads,
+ * before and after compilation.
+ *
  * The accountant differential (SizeSweep, AccountantSweep) pins
  * "simulate once, account many": a buffer-size sweep over one shared
  * DecodedImage executes once per PredMode and accounts every other
@@ -25,6 +30,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
+#include "analysis/liveness.hh"
 #include "core/compiler.hh"
 #include "interp_check.hh"
 #include "ir/builder.hh"
@@ -355,6 +363,169 @@ TEST_P(DifferentialTest, AllConfigsMatchInterpreter)
 
 INSTANTIATE_TEST_SUITE_P(Fuzz, DifferentialTest,
                          ::testing::Range(0, 25));
+
+// ---- Liveness differential: bitset sets against std::set ------------
+
+/**
+ * The reference live-variable analysis: the same equations as
+ * analysis/liveness.cc, over std::set and the operand lists, kept
+ * deliberately naive.
+ */
+struct RefLiveness
+{
+    std::vector<std::set<RegId>> in, out;
+    std::vector<std::set<PredId>> pin, pout;
+
+    explicit RefLiveness(const Function &fn)
+        : in(fn.blocks.size()), out(fn.blocks.size()),
+          pin(fn.blocks.size()), pout(fn.blocks.size())
+    {
+        const size_t n = fn.blocks.size();
+        std::vector<std::set<RegId>> gen(n), kill(n);
+        std::vector<std::set<PredId>> pgen(n), pkill(n);
+        for (const auto &bb : fn.blocks) {
+            if (bb.dead)
+                continue;
+            for (const auto &op : bb.ops) {
+                std::vector<PredId> pu;
+                if (op.guard != kNoPred)
+                    pu.push_back(op.guard);
+                for (const auto &s : op.srcs) {
+                    if (s.isReg() && !kill[bb.id].count(s.asReg()))
+                        gen[bb.id].insert(s.asReg());
+                    if (s.isPred())
+                        pu.push_back(s.asPred());
+                }
+                for (PredId p : pu)
+                    if (!pkill[bb.id].count(p))
+                        pgen[bb.id].insert(p);
+                if (op.hasGuard())
+                    continue;
+                for (const auto &d : op.dsts)
+                    if (d.isReg())
+                        kill[bb.id].insert(d.asReg());
+                if (op.op != Opcode::PRED_DEF)
+                    continue;
+                const PredDefKind kinds[2] = {op.defKind0, op.defKind1};
+                for (size_t i = 0; i < op.dsts.size() && i < 2; ++i) {
+                    if (op.dsts[i].isPred() &&
+                        (kinds[i] == PredDefKind::UT ||
+                         kinds[i] == PredDefKind::UF))
+                        pkill[bb.id].insert(op.dsts[i].asPred());
+                }
+            }
+        }
+        const auto rpo = fn.reversePostorder();
+        for (bool changed = true; changed;) {
+            changed = false;
+            for (auto it = rpo.rbegin(); it != rpo.rend(); ++it) {
+                const BlockId b = *it;
+                std::set<RegId> o, i = gen[b];
+                std::set<PredId> po, pi = pgen[b];
+                for (BlockId s : fn.blocks[b].successors()) {
+                    o.insert(in[s].begin(), in[s].end());
+                    po.insert(pin[s].begin(), pin[s].end());
+                }
+                for (RegId r : o)
+                    if (!kill[b].count(r))
+                        i.insert(r);
+                for (PredId p : po)
+                    if (!pkill[b].count(p))
+                        pi.insert(p);
+                if (o != out[b] || i != in[b] || po != pout[b] ||
+                    pi != pin[b]) {
+                    changed = true;
+                    out[b] = o;
+                    in[b] = i;
+                    pout[b] = po;
+                    pin[b] = pi;
+                }
+            }
+        }
+    }
+};
+
+/** Every block's four sets, members in iteration order, and sizes. */
+void
+expectLivenessMatchesReference(const Program &prog, const std::string &what)
+{
+    auto list = [](const auto &s) {
+        return std::vector<std::uint32_t>(s.begin(), s.end());
+    };
+    for (const auto &fn : prog.functions) {
+        const Liveness live(fn);
+        const RefLiveness ref(fn);
+        for (const auto &bb : fn.blocks) {
+            const BlockId b = bb.id;
+            const std::string where =
+                what + " " + fn.name + "/" + bb.name;
+            EXPECT_EQ(list(live.liveIn(b)), list(ref.in[b])) << where;
+            EXPECT_EQ(list(live.liveOut(b)), list(ref.out[b])) << where;
+            EXPECT_EQ(list(live.predLiveIn(b)), list(ref.pin[b]))
+                << where;
+            EXPECT_EQ(list(live.predLiveOut(b)), list(ref.pout[b]))
+                << where;
+            EXPECT_EQ(live.liveIn(b).size(), ref.in[b].size()) << where;
+            EXPECT_EQ(live.predLiveOut(b).size(), ref.pout[b].size())
+                << where;
+        }
+    }
+}
+
+/** The input and both levels' compiled IR (predicated at Aggressive). */
+void
+livenessDifferential(const Program &prog, const std::string &what)
+{
+    expectLivenessMatchesReference(prog, what + " input");
+    for (OptLevel lvl : {OptLevel::Traditional, OptLevel::Aggressive}) {
+        CompileOptions opts;
+        opts.level = lvl;
+        CompileResult cr;
+        compileProgram(prog, opts, cr);
+        expectLivenessMatchesReference(
+            cr.ir, what + (lvl == OptLevel::Aggressive ? " aggressive"
+                                                       : " traditional"));
+    }
+}
+
+class LivenessDifferential : public ::testing::TestWithParam<int>
+{
+};
+
+TEST_P(LivenessDifferential, GeneratedProgramsMatchReference)
+{
+    for (const bool rich : {false, true}) {
+        ProgramGen gen(0xfeed0000ull + GetParam(), rich);
+        livenessDifferential(gen.generate(),
+                             "seed " + std::to_string(GetParam()) +
+                                 (rich ? " rich" : ""));
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Fuzz, LivenessDifferential,
+                         ::testing::Range(0, 25));
+
+class LivenessWorkloads : public ::testing::TestWithParam<std::string>
+{
+};
+
+TEST_P(LivenessWorkloads, MatchReference)
+{
+    livenessDifferential(workloads::buildWorkload(GetParam()),
+                         GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllWorkloads, LivenessWorkloads,
+    ::testing::ValuesIn([] {
+        std::vector<std::string> names;
+        for (const auto &w : workloads::allWorkloads())
+            names.push_back(w.name);
+        return names;
+    }()),
+    [](const ::testing::TestParamInfo<std::string> &info) {
+        return info.param;
+    });
 
 // ---- Accountant differential: simulate once, account many ----------
 

@@ -132,7 +132,7 @@ TEST(Inliner, HotterSiteWins)
     Program prog;
     FuncId small[2];
     for (int k = 0; k < 2; ++k) {
-        small[k] = prog.newFunction("g" + std::to_string(k));
+        small[k] = prog.newFunction(k == 0 ? "g0" : "g1");
         Function &fn = prog.functions[small[k]];
         const RegId x = fn.newReg();
         fn.params = {x};

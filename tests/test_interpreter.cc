@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 
@@ -100,13 +101,19 @@ TEST(Interp, GuardNullifies)
 // ---- Table 2: exhaustive truth-table check ----
 // For each define kind and each (guard, cond) combination, the
 // destination must match the paper's table, including "no update".
+// gtest prints a parameter without a PrintTo as its raw bytes, and the
+// test names come from that print, so the struct has no implicit
+// padding: `reserved` fills the byte before `expect` with a fixed zero.
 struct Table2Case
 {
     PredDefKind kind;
     bool guard;
     bool cond;
+    std::uint8_t reserved;
     int expect; // -1 = no update (stays at sentinel)
 };
+static_assert(sizeof(Table2Case) == 8,
+              "Table2Case must have no padding bytes");
 
 class Table2Test : public ::testing::TestWithParam<Table2Case>
 {
@@ -189,7 +196,7 @@ table2Cases()
         int i = 0;
         for (bool g : {false, true}) {
             for (bool c : {false, true}) {
-                cases.push_back({row.k, g, c, row.v[i]});
+                cases.push_back({row.k, g, c, 0, row.v[i]});
                 ++i;
             }
         }

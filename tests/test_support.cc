@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the support layer: deterministic RNG, histograms,
- * logging helpers, thread pool.
+ * logging helpers, thread pool, dense id sets.
  */
 
 #include <gtest/gtest.h>
@@ -10,6 +10,8 @@
 #include <set>
 #include <vector>
 
+#include "analysis/liveness.hh"
+#include "support/dense_set.hh"
 #include "support/logging.hh"
 #include "support/random.hh"
 #include "support/stats.hh"
@@ -166,6 +168,118 @@ TEST(ThreadPool, DestructorDrainsPendingWork)
         // No wait(): destruction must still run everything.
     }
     EXPECT_EQ(count.load(), 50);
+}
+
+// ------------------------------------------------------ dense id sets
+
+std::vector<RegId>
+members(const RegSet &s)
+{
+    return {s.begin(), s.end()};
+}
+
+TEST(DenseIdSet, InsertEraseCountPastTheWordCount)
+{
+    RegSet s(10); // one word
+    EXPECT_EQ(s.count(5), 0u);
+    EXPECT_EQ(s.count(1000), 0u); // far past the words: absent
+    EXPECT_EQ(s.erase(1000), 0u); // and erasing it is a no-op
+    EXPECT_TRUE(s.insert(5));
+    EXPECT_FALSE(s.insert(5));
+    EXPECT_TRUE(s.insert(200)); // grows to a fourth word
+    EXPECT_EQ(s.count(5), 1u);
+    EXPECT_EQ(s.count(200), 1u);
+    EXPECT_EQ(s.count(199), 0u);
+    EXPECT_EQ(s.count(201), 0u);
+    EXPECT_EQ(s.size(), 2u);
+    EXPECT_EQ(s.erase(200), 1u);
+    EXPECT_EQ(s.erase(200), 0u);
+    EXPECT_EQ(s.count(200), 0u);
+    EXPECT_EQ(s.size(), 1u);
+    s.erase(5);
+    EXPECT_EQ(s.size(), 0u);
+    EXPECT_EQ(s.begin(), s.end());
+}
+
+TEST(DenseIdSet, IteratesAscendingAcrossWordBoundaries)
+{
+    RegSet s;
+    EXPECT_EQ(s.begin(), s.end());
+    const std::vector<RegId> ids{0, 1, 63, 64, 65, 127, 128, 191, 320, 383};
+    // Insert out of order: iteration order must not depend on it.
+    for (auto it = ids.rbegin(); it != ids.rend(); ++it)
+        s.insert(*it);
+    EXPECT_EQ(members(s), ids);
+    EXPECT_EQ(s.size(), ids.size());
+    // Words left empty in the middle and at the end are skipped.
+    s.erase(127);
+    s.erase(128);
+    s.erase(383);
+    EXPECT_EQ(members(s),
+              (std::vector<RegId>{0, 1, 63, 64, 65, 191, 320}));
+}
+
+TEST(DenseIdSet, EqualityIgnoresWordLength)
+{
+    RegSet a(1), b(1000);
+    EXPECT_EQ(a, b);
+    a.insert(3);
+    EXPECT_NE(a, b);
+    b.insert(3);
+    EXPECT_EQ(a, b);
+    EXPECT_EQ(b, a);
+    b.insert(700);
+    EXPECT_NE(a, b);
+    EXPECT_NE(b, a);
+    b.erase(700); // b keeps its trailing (now zero) words
+    EXPECT_EQ(a, b);
+    EXPECT_EQ(b, a);
+}
+
+TEST(DenseIdSet, UnionAndDifferenceAcrossLengths)
+{
+    RegSet a, b;
+    a.insert(2);
+    a.insert(130);
+    b.insert(130);
+    b.insert(500);
+    a.insertAll(b);
+    EXPECT_EQ(members(a), (std::vector<RegId>{2, 130, 500}));
+    RegSet c;
+    c.insert(2);
+    c.insert(900); // longer than a: the extra words remove nothing
+    a.eraseAll(c);
+    EXPECT_EQ(members(a), (std::vector<RegId>{130, 500}));
+    RegSet d;
+    d.insert(1);
+    d.eraseAll(a); // shorter than a
+    EXPECT_EQ(members(d), (std::vector<RegId>{1}));
+    a.clear();
+    EXPECT_EQ(a.size(), 0u);
+    EXPECT_EQ(a, RegSet());
+}
+
+TEST(DenseIdSet, MatchesStdSetOnRandomOperations)
+{
+    Rng rng(77);
+    PredSet s;
+    std::set<PredId> ref;
+    for (int i = 0; i < 5000; ++i) {
+        const auto id = static_cast<PredId>(rng.nextBelow(300));
+        switch (rng.nextBelow(3)) {
+          case 0:
+            EXPECT_EQ(s.insert(id), ref.insert(id).second);
+            break;
+          case 1:
+            EXPECT_EQ(s.erase(id), ref.erase(id));
+            break;
+          default:
+            EXPECT_EQ(s.count(id), ref.count(id));
+        }
+    }
+    EXPECT_EQ(s.size(), ref.size());
+    EXPECT_EQ(std::vector<PredId>(s.begin(), s.end()),
+              std::vector<PredId>(ref.begin(), ref.end()));
 }
 
 } // namespace

@@ -192,7 +192,7 @@ microOp(Opcode op, ExecHandler h)
 MicroOp
 aluOp()
 {
-    return microOp(Opcode::ADD, ExecHandler::ALU);
+    return microOp(Opcode::ADD, ExecHandler::ALU_ADD);
 }
 
 /**

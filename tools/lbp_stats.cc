@@ -54,7 +54,9 @@
  *   --verbose                        `history check` prints every key
  *
  * Every numeric flag must be one whole base-10 number inside its
- * range; anything else exits 2 naming the flag and the value.
+ * range; anything else exits 2 naming the flag and the value. A flag
+ * the command does not read (say --out to `run`) exits 2 too, naming
+ * the flag and the command.
  *
  * `trace` cross-checks the trace against the registry before writing:
  * the sum of ops carried by buffer-hit events must equal the run's
@@ -136,6 +138,7 @@ struct Options
     int keep = 0;  ///< history prune: newest N records per source
     bool cycles = false;  ///< loops: print the per-loop cycle stack
     bool verbose = false;
+    std::vector<std::string> flags;  ///< every flag given, by name
 };
 
 int
@@ -161,6 +164,8 @@ usage()
         << "       lbp_stats history prune --keep=N [--history=F]\n"
         << "       lbp_stats report <workload> [--out=F] [--history=F]\n"
         << "                 [--level=L] [--buffer=N] [--engine=E]\n"
+        << "                 [--hz=N] [--window=N] [--rel=X] [--abs=X]\n"
+        << "                 [--madk=K]\n"
         << "       lbp_stats prof <workload> [--hz=N] [--reps=N]\n"
         << "                 [--out=F] [--level=L] [--buffer=N]\n"
         << "                 [--engine=E] [--json=F]\n"
@@ -214,6 +219,8 @@ parseArgs(int argc, char **argv, Options &o)
         o.command = "trace";
     for (int i = 2; i < argc; ++i) {
         const std::string arg = argv[i];
+        if (arg.compare(0, 2, "--") == 0)
+            o.flags.push_back(arg.substr(0, arg.find('=')));
         auto val = [&](const char *key) -> const char * {
             const size_t n = std::strlen(key);
             if (arg.compare(0, n, key) == 0 && arg[n] == '=')
@@ -310,6 +317,56 @@ parseArgs(int argc, char **argv, Options &o)
             return false;
         } else {
             o.positional.push_back(arg);
+        }
+    }
+    return true;
+}
+
+/**
+ * Every flag given must be one the command reads (for `history`, the
+ * action): a flag another command takes would otherwise be silently
+ * ignored, and a misplaced --out or --json would look like it worked.
+ * On a stray flag it names the flag and the command on stderr and
+ * returns false, which main() turns into usage and exit 2.
+ */
+bool
+checkFlagsApply(const Options &o)
+{
+    static const std::map<std::string, std::vector<std::string>> kReads = {
+        {"run", {"--level", "--buffer", "--engine", "--json", "--csv"}},
+        {"diff", {}},
+        {"trace", {"--out", "--sample", "--capacity", "--buffer", "--level"}},
+        {"loops",
+         {"--level", "--buffer", "--engine", "--json", "--sort",
+          "--cycles"}},
+        {"explain", {}},
+        {"history append", {"--history", "--source"}},
+        {"history list", {"--history"}},
+        {"history check",
+         {"--history", "--window", "--rel", "--abs", "--madk", "--json",
+          "--verbose"}},
+        {"history prune", {"--history", "--keep"}},
+        {"report",
+         {"--out", "--history", "--level", "--buffer", "--engine", "--hz",
+          "--window", "--rel", "--abs", "--madk"}},
+        {"prof",
+         {"--hz", "--reps", "--out", "--level", "--buffer", "--engine",
+          "--json"}},
+        {"list", {}},
+        {"--version", {}},
+    };
+    std::string command = o.command;
+    if (command == "history" && !o.positional.empty())
+        command += " " + o.positional[0];
+    const auto it = kReads.find(command);
+    if (it == kReads.end())
+        return true; // not a command: main() prints usage anyway
+    for (const std::string &flag : o.flags) {
+        if (std::find(it->second.begin(), it->second.end(), flag) ==
+            it->second.end()) {
+            std::cerr << "option '" << flag << "' does not apply to '"
+                      << command << "'\n";
+            return false;
         }
     }
     return true;
@@ -1159,6 +1216,8 @@ main(int argc, char **argv)
         std::cerr << "unknown workload '" << o.positional[0] << "'\n";
         return usage();
     }
+    if (!checkFlagsApply(o))
+        return usage();
     if (o.command == "run")
         return cmdRun(o);
     if (o.command == "diff")
